@@ -119,9 +119,14 @@ def cmd_fit(args) -> int:
     input_cols = _split_csv_list(args.input_cols)
     train = _load(args.train, input_cols, args.output_col)
     criterion = Criterion(args.criterion)
+    if args.restarts < 1:
+        raise UsageError("--restarts must be at least 1")
     asc = None
     if criterion in (Criterion.BAYESIAN_ASC, Criterion.BETA_NOISE_ASC):
-        asc = AscConfig(M=args.M, J=args.J, seed=derived_seed(seed, 1))
+        try:
+            asc = AscConfig(M=args.M, J=args.J, seed=derived_seed(seed, 1))
+        except ValueError as err:
+            raise UsageError(str(err)) from err
     template = GPModel(MeanSpec(), kernel_template(args.kernel))
     report = {
         "command": "fit",
@@ -255,16 +260,17 @@ def cmd_eval(args) -> int:
     else:
         if not Path(args.model).is_file():
             raise UsageError(f"file not found: {args.model}")
-        with open(args.model, encoding="utf-8") as fh:
-            fitted = json.load(fh)
-        if "kernel_spec" not in fitted:
-            raise UsageError(f"{args.model} does not contain a fitted kernel")
-        spec = fitted["kernel_spec"]
-        kernel = KernelSpec(
-            KernelStructure(spec["structure"]),
-            np.asarray(spec["log_params"], dtype=float),
-            float(spec["log_noise"]),
-        )
+        try:
+            with open(args.model, encoding="utf-8") as fh:
+                fitted = json.load(fh)
+            spec = fitted["kernel_spec"]
+            kernel = KernelSpec(
+                KernelStructure(spec["structure"]),
+                np.asarray(spec["log_params"], dtype=float),
+                float(spec["log_noise"]),
+            )
+        except (KeyError, TypeError, ValueError) as err:
+            raise UsageError(f"{args.model} does not contain a valid fitted kernel: {err}") from err
         std = fitted.get("input_standardization") or {}
         shift, scale = std.get("shift"), std.get("scale")
         train = _load(args.train, input_cols, args.output_col, shift=shift, scale=scale)
@@ -365,13 +371,15 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         return args.handler(args)
-    except (UsageError, ValueError, SchemaError, EmptyData) as err:
+    except (UsageError, SchemaError, EmptyData) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OptimizationFailed as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except GpSelectError as err:
+    except (GpSelectError, ValueError) as err:
+        # arguments are validated into UsageError above; a ValueError that
+        # gets this far was raised inside the numerical code
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
 

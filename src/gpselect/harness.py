@@ -23,19 +23,13 @@ from .criteria import AscConfig, sample_partitions
 from .errors import EmptyData, GpSelectError, OptimizationFailed, SchemaError
 from .gaussian import chol_spd
 from .kernels import PARAM_NAMES, KernelSpec, KernelStructure, MeanSpec, kernel_matrix, mean_vector
-from .optimize import Criterion, ObjectiveSpec, evaluate_criterion, optimize
+from .optimize import Criterion, ObjectiveSpec, criterion_direction, evaluate_criterion, optimize
 from .regression import Dataset, GPModel, msll, predict
 
 MSLL_COLUMN = "msll"
 
 # Ranking columns where a larger score is better.
-_HIGHER_BETTER = {
-    Criterion.EVIDENCE.value: True,
-    Criterion.LOO.value: False,
-    Criterion.BAYESIAN_ASC.value: True,
-    Criterion.BETA_NOISE_ASC.value: True,
-    MSLL_COLUMN: False,
-}
+_HIGHER_BETTER = {c.value: criterion_direction(c) > 0 for c in Criterion} | {MSLL_COLUMN: False}
 
 
 def derived_seed(master: int, *key: int) -> int:
@@ -80,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("hyperparameters are fitted by evidence or leave-one-out only")
         if (self.teacher is None) == (self.data is None):
             raise ValueError("exactly one of teacher (synthetic) or data (real) must be set")
+        if self.data is not None and self.data.n < self.n_train + 1:
+            raise ValueError(f"dataset has {self.data.n} rows, need more than n_train={self.n_train}")
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -259,8 +255,6 @@ def _replicate_datasets(cfg: ExperimentConfig, r: int) -> tuple[Dataset, Dataset
     if cfg.teacher is not None:
         return sample_synthetic(cfg.teacher, cfg.n_train, cfg.n_test, cfg.input_range, data_seed)
     data = cfg.data
-    if data.n < cfg.n_train + 1:
-        raise ValueError(f"dataset has {data.n} rows, need more than n_train={cfg.n_train}")
     rng = np.random.default_rng(data_seed)
     perm = rng.permutation(data.n)
     n_test = min(cfg.n_test, data.n - cfg.n_train)

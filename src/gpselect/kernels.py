@@ -112,20 +112,23 @@ class MeanSpec:
         object.__setattr__(self, "kind", MeanKind(self.kind))
 
 
-def _pairwise_sq_dists(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    # Differences first: exactly antisymmetric, so the Gram matrix transposes
-    # bit-for-bit and tiny negative residue cannot occur.
-    diff = xa[:, :, None] - xb[:, None, :]
-    return np.maximum(np.einsum("dpq,dpq->pq", diff, diff), 0.0)
-
-
-def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
-    """Gram matrix between two column-point sets (inputs are D x P and D x Q)."""
+def pairwise_sq_dists(xa, xb) -> np.ndarray:
+    """Squared Euclidean distances between two column-point sets (D x P and D x Q)."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     if xa.shape[0] != xb.shape[0]:
         raise ValueError(f"input dimensions differ: {xa.shape[0]} vs {xb.shape[0]}")
-    sq = _pairwise_sq_dists(xa, xb)
+    # Accumulate one input dimension at a time: each term squares an exactly
+    # antisymmetric difference, so the Gram matrix transposes bit-for-bit and
+    # no (D, P, Q) temporary is built.
+    out = np.zeros((xa.shape[1], xb.shape[1]))
+    for d in range(xa.shape[0]):
+        out += (xa[d][:, None] - xb[d][None, :]) ** 2
+    return out
+
+
+def gram_from_sq_dists(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
+    """Kernel values from a matrix of squared input distances."""
     params = np.exp(spec.log_params)
     if spec.structure is KernelStructure.SQUARED_EXPONENTIAL:
         ell, sf = params
@@ -140,6 +143,40 @@ def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
         ell, period, sf = params
         return sf**2 * np.exp(-2.0 * np.sin(np.pi * np.sqrt(sq) / period) ** 2 / ell**2)
     raise ValueError(f"unknown kernel structure {spec.structure!r}")
+
+
+def gram_partials(spec: KernelSpec, sq: np.ndarray, gram: np.ndarray) -> list[np.ndarray]:
+    """dK/d log(param) for each kernel parameter, in ``log_params`` order.
+
+    ``gram`` must be ``gram_from_sq_dists(spec, sq)``; the noise term is not
+    included.
+    """
+    params = np.exp(spec.log_params)
+    if spec.structure is KernelStructure.SQUARED_EXPONENTIAL:
+        ell, _ = params
+        return [gram * (sq / ell**2), 2.0 * gram]
+    if spec.structure is KernelStructure.RATIONAL_QUADRATIC:
+        ell, _, alpha = params
+        u = sq / (2.0 * alpha * ell**2)
+        ratio = u / (1.0 + u)
+        return [gram * (2.0 * alpha * ratio), 2.0 * gram, gram * (alpha * (ratio - np.log1p(u)))]
+    if spec.structure is KernelStructure.EXPONENTIAL:
+        ell, _ = params
+        return [gram * (np.sqrt(sq) / ell), 2.0 * gram]
+    if spec.structure is KernelStructure.PERIODIC:
+        ell, period, _ = params
+        angle = np.pi * np.sqrt(sq) / period
+        return [
+            gram * (4.0 * np.sin(angle) ** 2 / ell**2),
+            gram * ((2.0 * angle / ell**2) * np.sin(2.0 * angle)),
+            2.0 * gram,
+        ]
+    raise ValueError(f"unknown kernel structure {spec.structure!r}")
+
+
+def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
+    """Gram matrix between two column-point sets (inputs are D x P and D x Q)."""
+    return gram_from_sq_dists(spec, pairwise_sq_dists(xa, xb))
 
 
 def noisy_kernel_matrix(spec: KernelSpec, x) -> np.ndarray:

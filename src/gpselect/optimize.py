@@ -1,9 +1,9 @@
 """Limited-memory quasi-Newton maximization of the selection criteria.
 
-Gradients come from central finite differences for every criterion, so the
-same machinery drives the evidence, leave-one-out and agreement objectives.
-Failed evaluations (singular covariances, all partitions failed) act as an
-infinite penalty that the line search backs away from.
+The evidence and leave-one-out fits use exact gradients computed from the
+same factorization as the value; the agreement criteria use central finite
+differences. Failed evaluations (singular covariances, all partitions failed)
+act as an infinite penalty that the line search backs away from.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ import numpy as np
 
 from .criteria import AscConfig, AscScore, AscVariant, average_log_eta, sample_partitions
 from .errors import AllPartitionsFailed, OptimizationFailed, RankDeficient, SingularCovariance
-from .regression import Dataset, GPModel, log_evidence, loo_cv_objective
+from .regression import (
+    Dataset,
+    GPModel,
+    log_evidence,
+    log_evidence_and_grad,
+    loo_cv_and_grad,
+    loo_cv_objective,
+)
 
 _NUMERICAL_FAILURES = (SingularCovariance, RankDeficient, AllPartitionsFailed)
 
@@ -174,18 +181,28 @@ def lbfgs_minimize(
     stall_window: int = 3,
     maxiter: int = 200,
     h_rel: float = 1e-5,
+    jac=None,
 ) -> MinimizeResult:
-    """Minimize f with L-BFGS, strong Wolfe steps and finite-difference gradients.
+    """Minimize f with L-BFGS and strong Wolfe steps.
+
+    ``jac(x)`` returns the gradient of f at x; it is only asked for at points
+    where f was just evaluated and found finite. Without it, gradients are
+    central finite differences of f with relative step ``h_rel``.
 
     Stops on gradient infinity-norm below ``gtol``, on relative objective
     change below ``stall_rtol`` over ``stall_window`` iterations, or after
     ``maxiter`` iterations (then ``converged`` is False).
     """
+    if jac is None:
+
+        def jac(point):
+            return finite_diff_gradient(f, point, h_rel)[0]
+
     x = np.asarray(x0, dtype=float).copy()
     fx = f(x)
     if not np.isfinite(fx):
         return MinimizeResult(x=x, fun=fx, converged=False, n_iter=0)
-    grad, _ = finite_diff_gradient(f, x, h_rel)
+    grad = jac(x)
     s_hist: deque = deque(maxlen=history)
     y_hist: deque = deque(maxlen=history)
     rho_hist: deque = deque(maxlen=history)
@@ -217,7 +234,7 @@ def lbfgs_minimize(
             return f(x + alpha * direction)
 
         def grad_dot(alpha):
-            g_a, _ = finite_diff_gradient(f, x + alpha * direction, h_rel)
+            g_a = jac(x + alpha * direction)
             return g_a @ direction, g_a
 
         step = _wolfe_search(f_line, grad_dot, fx, grad @ direction)
@@ -265,32 +282,51 @@ def optimize(
     template = model_template.kernel
     dim = template.log_params.size + 1
 
-    def natural(theta):
-        model = GPModel(model_template.mean, template.with_theta(theta))
-        return evaluate_criterion(obj.criterion, model, data, parts)
+    # exact gradients where there is a closed form; None: finite differences
+    value_and_grad = {
+        Criterion.EVIDENCE: log_evidence_and_grad,
+        Criterion.LOO: loo_cv_and_grad,
+    }.get(obj.criterion)
+    # One entry: the minimized gradient at the last point f_min evaluated. The
+    # line search asks for a gradient only where it has just evaluated f.
+    memo: dict[bytes, np.ndarray] = {}
+
+    def model_at(theta):
+        return GPModel(model_template.mean, template.with_theta(theta))
 
     def f_min(theta):
         theta = np.asarray(theta, dtype=float)
+        memo.clear()
         if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > _THETA_BOUND:
             return np.inf
         try:
-            value, _ = natural(theta)
+            if value_and_grad is None:
+                value, _ = evaluate_criterion(obj.criterion, model_at(theta), data, parts)
+            else:
+                value, grad = value_and_grad(model_at(theta), data)
+                memo[theta.tobytes()] = -obj.direction * grad
         except _NUMERICAL_FAILURES:
             return np.inf
         return -obj.direction * value
+
+    def jac(theta):
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key not in memo:
+            f_min(theta)
+        return memo[key]
 
     rng = np.random.default_rng(seed)
     inits = rng.uniform(-2.0, 2.0, size=(restarts, dim))
     best: MinimizeResult | None = None
     for i in range(restarts):
-        result = lbfgs_minimize(f_min, inits[i])
+        result = lbfgs_minimize(f_min, inits[i], jac=None if value_and_grad is None else jac)
         if not np.isfinite(result.fun):
             continue
         if best is None or result.fun < best.fun - 1e-12:
             best = result
     if best is None:
         raise OptimizationFailed(f"no finite objective over {restarts} restarts")
-    value, asc = natural(best.x)
+    value, asc = evaluate_criterion(obj.criterion, model_at(best.x), data, parts)
     return OptResult(
         theta=best.x,
         objective_value=value,

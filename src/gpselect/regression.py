@@ -8,8 +8,17 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import DegenerateBaseline
-from .gaussian import GaussianDist, JointGaussian, chol_spd, _LOG_2PI
-from .kernels import KernelSpec, MeanSpec, kernel_matrix, mean_vector, noisy_kernel_matrix
+from .gaussian import GaussianDist, JointGaussian, chol_spd, _LOG_2PI, _logpdf_dev
+from .kernels import (
+    KernelSpec,
+    MeanSpec,
+    gram_from_sq_dists,
+    gram_partials,
+    kernel_matrix,
+    mean_vector,
+    noisy_kernel_matrix,
+    pairwise_sq_dists,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,35 +77,78 @@ def joint_latent_output(model: GPModel, anchors, data: Dataset) -> JointGaussian
     )
 
 
-def log_evidence(model: GPModel, data: Dataset) -> float:
-    """log p(y | X) under the GP prior and Gaussian noise."""
+def _output_precision(model: GPModel, data: Dataset):
+    """Factor K + sigma_n^2 I once; returns what both objectives and their gradients need.
+
+    ``(partials, factor, precision, residual)``: dK/dtheta for every optimizer
+    coordinate (kernel log-parameters, then log-noise), the lower Cholesky
+    factor of the (possibly jittered) output covariance, its inverse, and
+    y - m(X).
+    """
+    sq = pairwise_sq_dists(data.X, data.X)
+    gram = gram_from_sq_dists(model.kernel, sq)
+    noise_var = model.kernel.noise_variance
+    eye = np.eye(data.n)
+    factor, _ = chol_spd(gram + noise_var * eye, "output covariance")
+    precision = cho_solve((factor, True), eye)
+    partials = gram_partials(model.kernel, sq, gram) + [(2.0 * noise_var) * eye]
+    return partials, factor, precision, data.y - mean_vector(model.mean, data.X)
+
+
+def _contract(weights: np.ndarray, partials: list[np.ndarray]) -> np.ndarray:
+    """Gradient sum_kl W_kl dK_kl for each partial dK."""
+    flat = weights.ravel()
+    return np.array([flat @ p.ravel() for p in partials])
+
+
+def log_evidence_and_grad(model: GPModel, data: Dataset) -> tuple[float, np.ndarray]:
+    """log p(y | X) and its gradient in the optimizer coordinates ``kernel.theta()``.
+
+    Gradient by the trace identity (Rasmussen & Williams, GPML eq. 5.9):
+    d/dtheta_j = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta_j), alpha = K^-1 (y - m).
+    """
     if data.n < 1:
         raise ValueError("evidence requires at least one data point")
-    prior = GaussianDist.from_moments(
-        mean_vector(model.mean, data.X),
-        noisy_kernel_matrix(model.kernel, data.X),
-        "output covariance",
-    )
-    return prior.log_density(data.y)
+    partials, factor, precision, dev = _output_precision(model, data)
+    alpha = precision @ dev
+    grad = _contract(0.5 * (np.outer(alpha, alpha) - precision), partials)
+    return _logpdf_dev(factor, dev), grad
 
 
-def loo_cv_objective(model: GPModel, data: Dataset) -> float:
-    """Negative mean leave-one-out log predictive density (lower is better).
+def log_evidence(model: GPModel, data: Dataset) -> float:
+    """log p(y | X) under the GP prior and Gaussian noise."""
+    return log_evidence_and_grad(model, data)[0]
+
+
+def loo_cv_and_grad(model: GPModel, data: Dataset) -> tuple[float, np.ndarray]:
+    """Negative mean LOO log predictive density and its gradient in ``kernel.theta()``.
 
     Each fold's predictive is the 1-D conditional of y_k given the remaining
-    outputs under the joint N(m(X), K + sigma_n^2 I). Computed through the
-    precision matrix in O(N^3) total rather than refactoring per fold.
+    outputs under the joint N(m(X), K + sigma_n^2 I), read off the precision
+    matrix P = K^-1 in O(N^3) total rather than refactoring per fold. The
+    gradient is GPML eq. 5.13 (Sundararajan & Keerthi 2001) with its per-fold
+    sums folded into one weight matrix, so every coordinate costs one
+    elementwise contraction with dK/dtheta_j.
     """
     if data.n < 2:
         raise ValueError("leave-one-out requires at least two data points")
-    m = mean_vector(model.mean, data.X)
-    factor, _ = chol_spd(noisy_kernel_matrix(model.kernel, data.X), "output covariance")
-    prec = cho_solve((factor, True), np.eye(data.n))
-    q = np.diag(prec)
-    alpha = prec @ (data.y - m)
+    partials, _, precision, dev = _output_precision(model, data)
+    q = np.diag(precision)
+    alpha = precision @ dev
     # fold k: mean y_k - alpha_k / q_k, variance 1 / q_k
     log_pred = -0.5 * (np.log(2.0 * np.pi / q) + alpha**2 / q)
-    return float(-np.mean(log_pred))
+    # With a = alpha / q and c = (1 + alpha^2 / q) / (2 q), eq. 5.13 summed over
+    # the folds is  a^T P dK alpha - sum_k c_k (P dK P)_kk  =  sum(W * dK).
+    weights = np.outer(precision @ (alpha / q), alpha) - (
+        precision * (0.5 * (1.0 + alpha**2 / q) / q)
+    ) @ precision
+    grad = _contract(weights, partials)
+    return float(-np.mean(log_pred)), -grad / data.n
+
+
+def loo_cv_objective(model: GPModel, data: Dataset) -> float:
+    """Negative mean leave-one-out log predictive density (lower is better)."""
+    return loo_cv_and_grad(model, data)[0]
 
 
 def predict(model: GPModel, train: Dataset, xstar) -> GaussianDist:

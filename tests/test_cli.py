@@ -140,6 +140,28 @@ class TestFit:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "extra", [["--restarts", "0"], ["--criterion", "bnasc", "--J", "0"]]
+    )
+    def test_invalid_argument_value_exits_2(self, synth_files, extra):
+        train, _ = synth_files
+        base = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence"]
+        assert main(base + extra) == 2
+
+    def test_value_error_in_numerical_code_exits_3(self, synth_files, monkeypatch, capsys):
+        import importlib
+
+        optimize_module = importlib.import_module("gpselect.optimize")
+
+        def nan_input(*args, **kwargs):
+            raise ValueError("array must not contain infs or NaNs")
+
+        monkeypatch.setattr(optimize_module, "log_evidence_and_grad", nan_input)
+        train, _ = synth_files
+        code = main(["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence"])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestRank:
     def rank_args(self, tmp_path, seed=4, threads=1):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gpselect import KernelSpec, KernelStructure, MeanSpec, kernel_matrix, mean_vector, noisy_kernel_matrix
+from gpselect.kernels import gram_from_sq_dists, gram_partials, pairwise_sq_dists
 
 ALL_STRUCTURES = [s.value for s in KernelStructure]
 
@@ -92,6 +93,30 @@ class TestMatrixProperties:
             np.testing.assert_array_equal(gram, gram.T)
             eigs = np.linalg.eigvalsh(gram)
             assert eigs.min() >= -1e-8 * np.trace(gram)
+
+    @pytest.mark.parametrize("structure", ALL_STRUCTURES)
+    def test_gram_exactly_symmetric_in_ten_dimensions(self, structure):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-2, 2, (10, 64))
+        gram = kernel_matrix(make_spec(structure), x, x)
+        np.testing.assert_array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("structure", ALL_STRUCTURES)
+    def test_partials_match_central_differences(self, structure):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0, 4, (2, 7))
+        spec = make_spec(structure, noise=0.1)
+        sq = pairwise_sq_dists(x, x)
+        partials = gram_partials(spec, sq, gram_from_sq_dists(spec, sq))
+        assert len(partials) == spec.log_params.size
+        h = 1e-6
+        for k, partial in enumerate(partials):
+            step = np.zeros(spec.log_params.size)
+            step[k] = h
+            up = KernelSpec(spec.structure, spec.log_params + step, spec.log_noise)
+            down = KernelSpec(spec.structure, spec.log_params - step, spec.log_noise)
+            numeric = (kernel_matrix(up, x, x) - kernel_matrix(down, x, x)) / (2.0 * h)
+            np.testing.assert_allclose(partial, numeric, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("structure", ALL_STRUCTURES)
     def test_cross_matrix_transposes_exactly(self, structure):

@@ -84,6 +84,19 @@ class TestLbfgs:
         assert np.isfinite(result.fun)
         assert result.x[0] == pytest.approx(1.0, abs=1e-5)
 
+    def test_rosenbrock_with_exact_jacobian(self):
+        def rosen(t):
+            return float(100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2)
+
+        def rosen_grad(t):
+            return np.array(
+                [-400.0 * t[0] * (t[1] - t[0] ** 2) - 2.0 * (1.0 - t[0]), 200.0 * (t[1] - t[0] ** 2)]
+            )
+
+        result = lbfgs_minimize(rosen, np.array([-1.2, 1.0]), maxiter=500, jac=rosen_grad)
+        assert result.converged
+        np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-4)
+
     def test_infinite_start_reported(self):
         result = lbfgs_minimize(lambda t: np.inf, np.array([0.0]))
         assert not result.converged
@@ -167,9 +180,39 @@ class TestOptimize:
         def always_singular(*args, **kwargs):
             raise SingularCovariance("forced")
 
-        monkeypatch.setattr(optimize_module, "log_evidence", always_singular)
+        # evidence fits evaluate through the fused value-and-gradient seam
+        monkeypatch.setattr(optimize_module, "log_evidence_and_grad", always_singular)
         with pytest.raises(OptimizationFailed):
             optimize(ObjectiveSpec(Criterion.EVIDENCE), se_template(), data, 2, seed=8)
+
+    @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO])
+    def test_exact_fits_evaluate_each_point_once(self, monkeypatch, criterion):
+        import importlib
+
+        optimize_module = importlib.import_module("gpselect.optimize")
+        seam = {
+            Criterion.EVIDENCE: "log_evidence_and_grad",
+            Criterion.LOO: "loo_cv_and_grad",
+        }[criterion]
+        exact = getattr(optimize_module, seam)
+        visited = []
+
+        def recording(model, data):
+            visited.append(model.kernel.theta())
+            return exact(model, data)
+
+        def no_finite_differences(*args, **kwargs):
+            raise AssertionError("exact fits must not difference the objective")
+
+        monkeypatch.setattr(optimize_module, seam, recording)
+        monkeypatch.setattr(optimize_module, "finite_diff_gradient", no_finite_differences)
+        rng = np.random.default_rng(8)
+        model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
+        result = optimize(ObjectiveSpec(criterion), se_template(), data, 2, seed=4)
+        assert np.isfinite(result.objective_value)
+        # the line search's gradient request at a just-evaluated point is a memo hit
+        repeats = sum(np.array_equal(a, b) for a, b in zip(visited, visited[1:]))
+        assert repeats == 0
 
     def test_evidence_recovers_teacher_scale(self):
         # single-replicate smoke: the full recovery study is in acceptance

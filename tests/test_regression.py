@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import random_gp_instance
+from _oracles import evidence_gradient_oracle, random_gp_instance
 from gpselect import (
     Dataset,
     DegenerateBaseline,
@@ -11,8 +13,10 @@ from gpselect import (
     GPModel,
     JointGaussian,
     KernelSpec,
+    KernelStructure,
     MeanSpec,
     condition,
+    finite_diff_gradient,
     joint_latent_output,
     kernel_matrix,
     log_evidence,
@@ -21,6 +25,7 @@ from gpselect import (
     noisy_kernel_matrix,
     predict,
 )
+from gpselect.regression import log_evidence_and_grad, loo_cv_and_grad
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -150,6 +155,61 @@ class TestLooCv:
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
             loo_cv_objective(se_model(), Dataset([[0.0]], [1.0]))
+
+
+def _gradient_instance(structure, seed, log10_noise):
+    noise = 10.0**log10_noise
+    return random_gp_instance(
+        np.random.default_rng(seed), structure=structure, noise_lo=noise, noise_hi=noise
+    )
+
+
+gradient_cases = given(
+    structure=st.sampled_from([s.value for s in KernelStructure]),
+    seed=st.integers(0, 2**32 - 1),
+    log10_noise=st.floats(-4.0, -0.2),
+)
+
+
+class TestExactGradients:
+    @gradient_cases
+    @example(structure="se", seed=0, log10_noise=-4.0)
+    @example(structure="per", seed=0, log10_noise=-4.0)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_evidence_gradient_matches_trace_oracle(self, structure, seed, log10_noise):
+        model, data = _gradient_instance(structure, seed, log10_noise)
+        value, grad = log_evidence_and_grad(model, data)
+        assert value == log_evidence(model, data)
+        oracle = evidence_gradient_oracle(model, data)
+        # 1e-8 relative, unless round-off in solving with K allows more: both
+        # routes invert K, so each is only good to about n cond(K) eps
+        cond = np.linalg.cond(noisy_kernel_matrix(model.kernel, data.X))
+        rtol = max(1e-8, data.n * cond * np.finfo(float).eps)
+        scale = max(1.0, float(np.max(np.abs(oracle))))
+        assert np.max(np.abs(grad - oracle)) <= rtol * scale
+
+    @gradient_cases
+    @example(structure="rq", seed=0, log10_noise=-4.0)
+    @example(structure="per", seed=0, log10_noise=-4.0)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_loo_gradient_matches_finite_differences(self, structure, seed, log10_noise):
+        model, data = _gradient_instance(structure, seed, log10_noise)
+        value, grad = loo_cv_and_grad(model, data)
+        assert value == loo_cv_objective(model, data)
+        kern = model.kernel
+
+        def f(theta):
+            return loo_cv_objective(GPModel(model.mean, kern.with_theta(theta)), data)
+
+        # central differences trade truncation against round-off differently
+        # per coordinate, so each coordinate is held to its best step; even
+        # that step can be off by ~1e-4 (period coordinate at noise ~1e-4,
+        # where 50-digit differences agree with the exact gradient to 4e-8)
+        numeric = np.array(
+            [finite_diff_gradient(f, kern.theta(), h)[0] for h in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)]
+        )
+        err = np.min(np.abs(numeric - grad), axis=0)
+        np.testing.assert_array_less(err, 1e-3 * np.maximum(1.0, np.abs(grad)))
 
 
 class TestPredict:
