@@ -29,9 +29,9 @@ from .harness import (
     write_rank_csv,
     write_report,
 )
-from .kernels import KernelSpec, KernelStructure, MeanSpec
+from .kernels import KernelSpec, KernelStructure
 from .optimize import Criterion, ObjectiveSpec, optimize
-from .regression import Dataset, GPModel, msll, predict
+from .regression import Dataset, msll, predict
 
 _KERNEL_CHOICES = [k.value for k in KernelStructure]
 _CRITERION_CHOICES = [c.value for c in Criterion]
@@ -41,14 +41,13 @@ class UsageError(Exception):
     pass
 
 
-def _teacher_from_flags(kernel, ell, sf, sn, alpha, period) -> GPModel:
+def _teacher_from_flags(kernel, ell, sf, sn, alpha, period) -> KernelSpec:
     try:
-        spec = KernelSpec.create(
+        return KernelSpec.create(
             kernel, lengthscale=ell, signal=sf, noise=sn, alpha=alpha, period=period
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
-    return GPModel(MeanSpec(), spec)
 
 
 def _resolve_seed(seed) -> int:
@@ -127,7 +126,7 @@ def cmd_fit(args) -> int:
             asc = AscConfig(M=args.M, J=args.J, seed=derived_seed(seed, 1))
         except ValueError as err:
             raise UsageError(str(err)) from err
-    template = GPModel(MeanSpec(), kernel_template(args.kernel))
+    template = kernel_template(args.kernel)
     report = {
         "command": "fit",
         "criterion": criterion.value,
@@ -154,7 +153,7 @@ def cmd_fit(args) -> int:
             write_report(report, args.out)
         print(f"optimization failed: {err}", file=sys.stderr)
         return 3
-    fitted = template.kernel.with_theta(result.theta)
+    fitted = template.with_theta(result.theta)
     report.update(
         {
             "theta_log": [float(v) for v in result.theta],
@@ -211,7 +210,6 @@ def cmd_rank(args) -> int:
             fit_criterion=args.fit_criterion,
             restarts=args.restarts,
             input_range=(args.input_lo, args.input_hi),
-            threads=args.threads,
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
@@ -227,10 +225,9 @@ def cmd_rank(args) -> int:
         "asc": {"J": args.J, "M": args.M},
         "seed": seed,
         "restarts": args.restarts,
-        "threads": args.threads,
         "teacher": None
         if teacher is None
-        else {"kernel": args.teacher_kernel, "params": teacher.kernel.named_params()},
+        else {"kernel": args.teacher_kernel, "params": teacher.named_params()},
         "data": None if data is None else data.meta,
     }
     out = Path(args.out)
@@ -275,8 +272,7 @@ def cmd_eval(args) -> int:
         shift, scale = std.get("shift"), std.get("scale")
         train = _load(args.train, input_cols, args.output_col, shift=shift, scale=scale)
         test = _load(args.test, input_cols, args.output_col, shift=shift, scale=scale)
-        model = GPModel(MeanSpec(), kernel)
-        predictive = predict(model, train, test.X)
+        predictive = predict(kernel, train, test.X)
         value = msll(predictive, test.y, train.y)
         model_desc = str(args.model)
     print(repr(value))
@@ -345,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=int, default=32)
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--restarts", type=int, default=2)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output prefix for .json/.csv")
     p.set_defaults(handler=cmd_rank)

@@ -4,8 +4,9 @@ A hyperparameter point is scored by how much the posteriors inferred from two
 random halves of the data agree at a small set of anchor inputs. Two posterior
 constructions are supported: the Bayesian posterior over the anchor latents,
 and a maximum-entropy posterior built from the likelihood alone (unit inverse
-temperature, so the noise level plays the role of the temperature). Both lead
-to closed-form agreement integrals over products of Gaussians.
+temperature, so the noise level plays the role of the temperature). The GP
+prior has zero mean. Both lead to closed-form agreement integrals over
+products of Gaussians.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from scipy.special import logsumexp
 
 from .errors import AllPartitionsFailed, InsufficientData, RankDeficient, SingularCovariance
 from .gaussian import GaussianDist, chol_spd, log_product_integral, maxent_linear_map_posterior
-from .kernels import kernel_matrix, mean_vector
-from .regression import Dataset, GPModel
+from .kernels import KernelSpec, kernel_matrix
+from .regression import Dataset
 
 
 class AscVariant(str, Enum):
@@ -62,18 +63,15 @@ class Partition:
 
 @dataclass(frozen=True)
 class AscConfig:
-    """Agreement dimension M, partition count J, and the (fixed) temperature."""
+    """Agreement dimension M, partition count J, and the partition seed."""
 
     M: int = 2
     J: int = 32
-    beta: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.M < 1 or self.J < 1:
             raise ValueError("M and J must be positive")
-        if self.beta != 1.0:
-            raise ValueError("the inverse temperature is fixed at 1")
 
 
 @dataclass(frozen=True)
@@ -105,69 +103,62 @@ def sample_partitions(n: int, cfg: AscConfig) -> list[Partition]:
     return parts
 
 
-def _anchor_blocks(model: GPModel, data: Dataset, part: Partition, gram: np.ndarray | None):
-    """Slice the anchor/half blocks out of the (optionally precomputed) Gram matrix."""
+def _anchor_blocks(kernel: KernelSpec, data: Dataset, part: Partition, gram: np.ndarray | None):
+    """Anchor covariance, zero-mean anchor prior and per-half blocks of the Gram matrix."""
     if gram is None:
-        gram = kernel_matrix(model.kernel, data.X, data.X)
+        gram = kernel_matrix(kernel, data.X, data.X)
     a = part.anchor_idx
-    mean_anchor = mean_vector(model.mean, data.X[:, a])
     cov_anchor = gram[np.ix_(a, a)]
-    noise = model.kernel.noise_variance
+    prior = GaussianDist.from_moments(np.zeros(a.size), cov_anchor, "anchor covariance")
+    noise = kernel.noise_variance
     halves = []
     for idx in (part.idx1, part.idx2):
         halves.append(
             (
                 data.y[idx],
-                mean_vector(model.mean, data.X[:, idx]),
                 gram[np.ix_(idx, idx)] + noise * np.eye(idx.size),
                 gram[np.ix_(idx, a)],  # cross block, half points by anchors
             )
         )
-    return mean_anchor, cov_anchor, halves
+    return cov_anchor, prior, halves
 
 
-def _log_eta_bayesian(model, data, part, gram) -> float:
-    mean_anchor, cov_anchor, halves = _anchor_blocks(model, data, part, gram)
-    prior = GaussianDist.from_moments(mean_anchor, cov_anchor, "anchor covariance")
+def _log_eta_bayesian(kernel, data, part, gram) -> float:
+    cov_anchor, prior, halves = _anchor_blocks(kernel, data, part, gram)
     components = []
-    for y_i, m_i, cov_i, cross_i in halves:
+    for y_i, cov_i, cross_i in halves:
         factor, _ = chol_spd(cov_i, "half covariance")
         gain = cho_solve((factor, True), cross_i)  # K_i^{-1} cross
         post_cov = cov_anchor - cross_i.T @ gain
-        post_mean = mean_anchor + gain.T @ (y_i - m_i)
         components.append(
-            GaussianDist.from_moments(post_mean, 0.5 * (post_cov + post_cov.T), "posterior covariance")
+            GaussianDist.from_moments(gain.T @ y_i, 0.5 * (post_cov + post_cov.T), "posterior covariance")
         )
     components.append(prior)
-    value, _ = log_product_integral(components)
-    return value
+    return log_product_integral(components)
 
 
-def _log_eta_beta_noise(model, data, part, gram) -> float:
-    mean_anchor, cov_anchor, halves = _anchor_blocks(model, data, part, gram)
-    prior = GaussianDist.from_moments(mean_anchor, cov_anchor, "anchor covariance")
+def _log_eta_beta_noise(kernel, data, part, gram) -> float:
+    _, prior, halves = _anchor_blocks(kernel, data, part, gram)
     components = []
-    for y_i, m_i, cov_i, cross_i in halves:
+    for y_i, cov_i, cross_i in halves:
         # A maps anchor latents to the half's output means; the likelihood of
         # the half, viewed as a function of the anchor latents, is
-        # N(A^T f | mu, Sigma) and normalizes to a Gaussian over f.
+        # N(A^T f | y_i, Sigma) and normalizes to a Gaussian over f.
         a_map = cho_solve((prior.chol, True), cross_i.T)  # (M, n_i)
         sigma = cov_i - cross_i @ a_map
-        mu = y_i - m_i + a_map.T @ mean_anchor
-        components.append(maxent_linear_map_posterior(a_map, mu, 0.5 * (sigma + sigma.T)))
+        components.append(maxent_linear_map_posterior(a_map, y_i, 0.5 * (sigma + sigma.T)))
     components.append(prior)
-    value, _ = log_product_integral(components)
-    return value
+    return log_product_integral(components)
 
 
-def log_eta_bayesian(model: GPModel, data: Dataset, part: Partition) -> float:
+def log_eta_bayesian(kernel: KernelSpec, data: Dataset, part: Partition) -> float:
     """log posterior agreement with Bayesian half-data posteriors."""
-    return _log_eta_bayesian(model, data, part, None)
+    return _log_eta_bayesian(kernel, data, part, None)
 
 
-def log_eta_beta_noise(model: GPModel, data: Dataset, part: Partition) -> float:
+def log_eta_beta_noise(kernel: KernelSpec, data: Dataset, part: Partition) -> float:
     """log posterior agreement with maximum-entropy (normalized likelihood) posteriors."""
-    return _log_eta_beta_noise(model, data, part, None)
+    return _log_eta_beta_noise(kernel, data, part, None)
 
 
 _ETA_FN = {
@@ -177,7 +168,7 @@ _ETA_FN = {
 
 
 def average_log_eta(
-    model: GPModel,
+    kernel: KernelSpec,
     data: Dataset,
     parts: list[Partition],
     variant: AscVariant,
@@ -192,12 +183,12 @@ def average_log_eta(
     if not parts:
         raise ValueError("need at least one partition")
     eta_fn = _ETA_FN[AscVariant(variant)]
-    gram = kernel_matrix(model.kernel, data.X, data.X)
+    gram = kernel_matrix(kernel, data.X, data.X)
     values = []
     failed = 0
     for part in parts:
         try:
-            values.append(eta_fn(model, data, part, gram))
+            values.append(eta_fn(kernel, data, part, gram))
         except (SingularCovariance, RankDeficient):
             failed += 1
     if not values:

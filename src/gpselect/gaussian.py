@@ -158,15 +158,11 @@ def log_gaussian_quadratic_integral(mu, lam) -> float:
     return -2.0 * _half_logdet(factor) - _logpdf_dev(factor, mu)
 
 
-def log_product_integral(
-    components: list[GaussianDist],
-) -> tuple[float, GaussianDist]:
-    """log of  integral prod_k N(x | mu_k, Sigma_k) dx  and the product Gaussian.
+def log_product_integral(components: list[GaussianDist]) -> float:
+    """log of  integral prod_k N(x | mu_k, Sigma_k) dx.
 
     The integral equals ``prod_k N(mu_k | 0, Sigma_k) / (|Lambda| N(r | 0, Lambda))``
-    with ``r = sum_k Sigma_k^{-1} mu_k`` and ``Lambda = sum_k Sigma_k^{-1}``; the
-    normalized product of the component densities is ``N(Lambda^{-1} r, Lambda^{-1})``,
-    which is returned alongside the log value.
+    with ``r = sum_k Sigma_k^{-1} mu_k`` and ``Lambda = sum_k Sigma_k^{-1}``.
     """
     if not components:
         raise ValueError("need at least one component")
@@ -183,11 +179,7 @@ def log_product_integral(
         lam += 0.5 * (prec + prec.T)
         r += cho_solve((c.chol, True), c.mean)
     factor, _ = chol_spd(lam, "precision sum")
-    value = log_gamma - 2.0 * _half_logdet(factor) - _logpdf_dev(factor, r)
-    cov = cho_solve((factor, True), eye)
-    mean = cho_solve((factor, True), r)
-    product = GaussianDist.from_moments(mean, 0.5 * (cov + cov.T), "product covariance")
-    return value, product
+    return log_gamma - 2.0 * _half_logdet(factor) - _logpdf_dev(factor, r)
 
 
 def maxent_linear_map_posterior(A, mu, sigma) -> GaussianDist:

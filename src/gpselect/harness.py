@@ -3,16 +3,15 @@
 A ranking experiment fits every student kernel on the training half of each
 replicate under one designated criterion, then scores the fitted models under
 all requested criteria plus held-out test loss, and aggregates per-criterion
-mean ranks with normal-approximation confidence intervals. Replicates are
-independent jobs seeded from the master seed, so threaded execution cannot
-change the report.
+mean ranks with normal-approximation confidence intervals. Each replicate's
+data, partitions and restarts are seeded from the master seed and the
+replicate index alone, so a report is deterministic for a given seed.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import metadata
 
@@ -22,9 +21,9 @@ from scipy.stats import rankdata
 from .criteria import AscConfig, sample_partitions
 from .errors import EmptyData, GpSelectError, OptimizationFailed, SchemaError
 from .gaussian import chol_spd
-from .kernels import PARAM_NAMES, KernelSpec, KernelStructure, MeanSpec, kernel_matrix, mean_vector
+from .kernels import PARAM_NAMES, KernelSpec, KernelStructure, kernel_matrix
 from .optimize import Criterion, ObjectiveSpec, criterion_direction, evaluate_criterion, optimize
-from .regression import Dataset, GPModel, msll, predict
+from .regression import Dataset, msll, predict
 
 MSLL_COLUMN = "msll"
 
@@ -53,12 +52,11 @@ class ExperimentConfig:
     n_test: int = 256
     asc: AscConfig = field(default_factory=AscConfig)
     seed: int = 0
-    teacher: GPModel | None = None
+    teacher: KernelSpec | None = None
     data: Dataset | None = None
     fit_criterion: Criterion = Criterion.EVIDENCE
     restarts: int = 2
     input_range: tuple[float, float] = (0.0, 10.0)
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "students", tuple(KernelStructure(s) for s in self.students))
@@ -66,8 +64,15 @@ class ExperimentConfig:
         object.__setattr__(self, "fit_criterion", Criterion(self.fit_criterion))
         if not self.students:
             raise ValueError("need at least one student kernel")
+        for name, entries in (("students", self.students), ("criteria", self.criteria)):
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"duplicate {name}: {', '.join(e.value for e in entries)}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.n_test < 1:
+            raise ValueError(f"n_test={self.n_test}, need at least one test point")
+        if self.restarts < 1:
+            raise ValueError("need at least one optimizer restart")
         if self.n_train < 2 * self.asc.M:
             raise ValueError(f"n_train={self.n_train} too small for M={self.asc.M}")
         if self.fit_criterion not in (Criterion.EVIDENCE, Criterion.LOO):
@@ -82,15 +87,15 @@ class ExperimentConfig:
         return tuple(c.value for c in self.criteria) + (MSLL_COLUMN,)
 
 
-def sample_function_values(model: GPModel, x, rng) -> np.ndarray:
-    """One joint draw of latent function values at the given inputs."""
+def sample_function_values(kernel: KernelSpec, x, rng) -> np.ndarray:
+    """One joint draw of zero-mean latent function values at the given inputs."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    factor, _ = chol_spd(kernel_matrix(model.kernel, x, x), "prior covariance")
-    return mean_vector(model.mean, x) + factor @ rng.standard_normal(x.shape[1])
+    factor, _ = chol_spd(kernel_matrix(kernel, x, x), "prior covariance")
+    return factor @ rng.standard_normal(x.shape[1])
 
 
 def sample_synthetic(
-    teacher: GPModel,
+    teacher: KernelSpec,
     n_train: int,
     n_test: int,
     input_range: tuple[float, float] = (0.0, 10.0),
@@ -101,7 +106,7 @@ def sample_synthetic(
     total = n_train + n_test
     x = rng.uniform(input_range[0], input_range[1], size=(1, total))
     f = sample_function_values(teacher, x, rng)
-    sigma_n = float(np.exp(teacher.kernel.log_noise))
+    sigma_n = float(np.exp(teacher.log_noise))
     y = f + sigma_n * rng.standard_normal(total)
     train = Dataset(x[:, :n_train], y[:n_train])
     test = Dataset(x[:, n_train:], y[n_train:])
@@ -149,7 +154,7 @@ def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=Non
     failures = []
     for si, structure in enumerate(cfg.students):
         name = structure.value
-        template = GPModel(MeanSpec(), kernel_template(structure))
+        template = kernel_template(structure)
         try:
             fit = optimize(
                 ObjectiveSpec(cfg.fit_criterion),
@@ -164,18 +169,18 @@ def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=Non
                 scores[col][name] = float("nan")
             thetas[name] = None
             continue
-        model = GPModel(MeanSpec(), template.kernel.with_theta(fit.theta))
+        kernel = template.with_theta(fit.theta)
         thetas[name] = [float(v) for v in fit.theta]
         for crit in cfg.criteria:
             try:
-                value, asc = evaluate_criterion(crit, model, train, parts)
+                value, asc = evaluate_criterion(crit, kernel, train, parts)
             except GpSelectError:
                 value, asc = float("nan"), None
             scores[crit.value][name] = float(value)
             if asc is not None:
                 asc_fracs.setdefault(crit.value, {})[name] = asc.failed_fraction
         try:
-            predictive = predict(model, train, test.X)
+            predictive = predict(kernel, train, test.X)
             scores[MSLL_COLUMN][name] = float(msll(predictive, test.y, train.y))
         except GpSelectError:
             scores[MSLL_COLUMN][name] = float("nan")
@@ -280,12 +285,7 @@ def run_ranking(cfg: ExperimentConfig) -> RankingReport:
         except GpSelectError:
             return None
 
-    indices = range(cfg.replicates)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = [one(r) for r in indices]
+    results = [one(r) for r in range(cfg.replicates)]
     survivors = [rep for rep in results if rep is not None]
     if not survivors:
         raise OptimizationFailed(f"all {cfg.replicates} replicates failed")

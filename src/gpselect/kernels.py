@@ -1,4 +1,4 @@
-"""Mean functions and covariance kernels with log-space hyperparameters."""
+"""Covariance kernels with log-space hyperparameters."""
 
 from __future__ import annotations
 
@@ -13,10 +13,6 @@ class KernelStructure(str, Enum):
     RATIONAL_QUADRATIC = "rq"
     EXPONENTIAL = "exp"
     PERIODIC = "per"
-
-
-class MeanKind(str, Enum):
-    ZERO = "zero"
 
 
 # Natural-space parameter names, in the order stored in log_params.
@@ -104,14 +100,6 @@ class KernelSpec:
         return out
 
 
-@dataclass(frozen=True)
-class MeanSpec:
-    kind: MeanKind = MeanKind.ZERO
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", MeanKind(self.kind))
-
-
 def pairwise_sq_dists(xa, xb) -> np.ndarray:
     """Squared Euclidean distances between two column-point sets (D x P and D x Q)."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
@@ -184,9 +172,3 @@ def noisy_kernel_matrix(spec: KernelSpec, x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     return kernel_matrix(spec, x, x) + spec.noise_variance * np.eye(x.shape[1])
 
-
-def mean_vector(spec: MeanSpec, x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if spec.kind is MeanKind.ZERO:
-        return np.zeros(x.shape[1])
-    raise ValueError(f"unknown mean kind {spec.kind!r}")

@@ -16,9 +16,9 @@ import numpy as np
 
 from .criteria import AscConfig, AscScore, AscVariant, average_log_eta, sample_partitions
 from .errors import AllPartitionsFailed, OptimizationFailed, RankDeficient, SingularCovariance
+from .kernels import KernelSpec
 from .regression import (
     Dataset,
-    GPModel,
     log_evidence,
     log_evidence_and_grad,
     loo_cv_and_grad,
@@ -75,26 +75,25 @@ class ObjectiveSpec:
 class OptResult:
     theta: np.ndarray
     objective_value: float
-    restarts_run: int
     converged: bool
     failed_partition_fraction: float | None = None
 
 
 def evaluate_criterion(
     criterion: Criterion,
-    model: GPModel,
+    kernel: KernelSpec,
     data: Dataset,
     parts=None,
 ) -> tuple[float, AscScore | None]:
-    """Raw criterion value at the model's current hyperparameters."""
+    """Raw criterion value at the kernel's current hyperparameters."""
     criterion = Criterion(criterion)
     if criterion is Criterion.EVIDENCE:
-        return log_evidence(model, data), None
+        return log_evidence(kernel, data), None
     if criterion is Criterion.LOO:
-        return loo_cv_objective(model, data), None
+        return loo_cv_objective(kernel, data), None
     if parts is None:
         raise ValueError("agreement criteria need a list of partitions")
-    score = average_log_eta(model, data, parts, _ASC_VARIANTS[criterion])
+    score = average_log_eta(kernel, data, parts, _ASC_VARIANTS[criterion])
     return score.value, score
 
 
@@ -261,7 +260,7 @@ def lbfgs_minimize(
 
 def optimize(
     obj: ObjectiveSpec,
-    model_template: GPModel,
+    template: KernelSpec,
     data: Dataset,
     restarts: int,
     seed,
@@ -279,7 +278,6 @@ def optimize(
     parts = None
     if obj.criterion in _ASC_VARIANTS:
         parts = sample_partitions(data.n, obj.asc_config)
-    template = model_template.kernel
     dim = template.log_params.size + 1
 
     # exact gradients where there is a closed form; None: finite differences
@@ -291,9 +289,6 @@ def optimize(
     # line search asks for a gradient only where it has just evaluated f.
     memo: dict[bytes, np.ndarray] = {}
 
-    def model_at(theta):
-        return GPModel(model_template.mean, template.with_theta(theta))
-
     def f_min(theta):
         theta = np.asarray(theta, dtype=float)
         memo.clear()
@@ -301,9 +296,9 @@ def optimize(
             return np.inf
         try:
             if value_and_grad is None:
-                value, _ = evaluate_criterion(obj.criterion, model_at(theta), data, parts)
+                value, _ = evaluate_criterion(obj.criterion, template.with_theta(theta), data, parts)
             else:
-                value, grad = value_and_grad(model_at(theta), data)
+                value, grad = value_and_grad(template.with_theta(theta), data)
                 memo[theta.tobytes()] = -obj.direction * grad
         except _NUMERICAL_FAILURES:
             return np.inf
@@ -326,11 +321,10 @@ def optimize(
             best = result
     if best is None:
         raise OptimizationFailed(f"no finite objective over {restarts} restarts")
-    value, asc = evaluate_criterion(obj.criterion, model_at(best.x), data, parts)
+    value, asc = evaluate_criterion(obj.criterion, template.with_theta(best.x), data, parts)
     return OptResult(
         theta=best.x,
         objective_value=value,
-        restarts_run=restarts,
         converged=best.converged,
         failed_partition_fraction=asc.failed_fraction if asc is not None else None,
     )

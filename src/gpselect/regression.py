@@ -1,4 +1,4 @@
-"""Gaussian-process regression: joints, predictives, and the classic objectives."""
+"""Zero-mean Gaussian-process regression: joints, predictives, and the classic objectives."""
 
 from __future__ import annotations
 
@@ -11,11 +11,9 @@ from .errors import DegenerateBaseline
 from .gaussian import GaussianDist, JointGaussian, chol_spd, _LOG_2PI, _logpdf_dev
 from .kernels import (
     KernelSpec,
-    MeanSpec,
     gram_from_sq_dists,
     gram_partials,
     kernel_matrix,
-    mean_vector,
     noisy_kernel_matrix,
     pairwise_sq_dists,
 )
@@ -52,13 +50,7 @@ class Dataset:
         return self.X.shape[0]
 
 
-@dataclass(frozen=True)
-class GPModel:
-    mean: MeanSpec
-    kernel: KernelSpec
-
-
-def joint_latent_output(model: GPModel, anchors, data: Dataset) -> JointGaussian:
+def joint_latent_output(kernel: KernelSpec, anchors, data: Dataset) -> JointGaussian:
     """Joint Gaussian over (latent values at the anchors, noisy outputs).
 
     Top block: latent f at the anchor inputs, noise-free. Bottom block: the
@@ -66,33 +58,32 @@ def joint_latent_output(model: GPModel, anchors, data: Dataset) -> JointGaussian
     must factor (after jitter) or SingularCovariance is raised.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    cov_tt = kernel_matrix(model.kernel, anchors, anchors)
+    cov_tt = kernel_matrix(kernel, anchors, anchors)
     chol_spd(cov_tt, "anchor covariance")  # invertibility check only
     return JointGaussian(
-        mean_top=mean_vector(model.mean, anchors),
-        mean_bottom=mean_vector(model.mean, data.X),
+        mean_top=np.zeros(anchors.shape[1]),
+        mean_bottom=np.zeros(data.n),
         cov_tt=cov_tt,
-        cov_bb=noisy_kernel_matrix(model.kernel, data.X),
-        cov_bt=kernel_matrix(model.kernel, data.X, anchors),
+        cov_bb=noisy_kernel_matrix(kernel, data.X),
+        cov_bt=kernel_matrix(kernel, data.X, anchors),
     )
 
 
-def _output_precision(model: GPModel, data: Dataset):
+def _output_precision(kernel: KernelSpec, data: Dataset):
     """Factor K + sigma_n^2 I once; returns what both objectives and their gradients need.
 
-    ``(partials, factor, precision, residual)``: dK/dtheta for every optimizer
+    ``(partials, factor, precision)``: dK/dtheta for every optimizer
     coordinate (kernel log-parameters, then log-noise), the lower Cholesky
-    factor of the (possibly jittered) output covariance, its inverse, and
-    y - m(X).
+    factor of the (possibly jittered) output covariance, and its inverse.
     """
     sq = pairwise_sq_dists(data.X, data.X)
-    gram = gram_from_sq_dists(model.kernel, sq)
-    noise_var = model.kernel.noise_variance
+    gram = gram_from_sq_dists(kernel, sq)
+    noise_var = kernel.noise_variance
     eye = np.eye(data.n)
     factor, _ = chol_spd(gram + noise_var * eye, "output covariance")
     precision = cho_solve((factor, True), eye)
-    partials = gram_partials(model.kernel, sq, gram) + [(2.0 * noise_var) * eye]
-    return partials, factor, precision, data.y - mean_vector(model.mean, data.X)
+    partials = gram_partials(kernel, sq, gram) + [(2.0 * noise_var) * eye]
+    return partials, factor, precision
 
 
 def _contract(weights: np.ndarray, partials: list[np.ndarray]) -> np.ndarray:
@@ -101,30 +92,30 @@ def _contract(weights: np.ndarray, partials: list[np.ndarray]) -> np.ndarray:
     return np.array([flat @ p.ravel() for p in partials])
 
 
-def log_evidence_and_grad(model: GPModel, data: Dataset) -> tuple[float, np.ndarray]:
+def log_evidence_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, np.ndarray]:
     """log p(y | X) and its gradient in the optimizer coordinates ``kernel.theta()``.
 
     Gradient by the trace identity (Rasmussen & Williams, GPML eq. 5.9):
-    d/dtheta_j = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta_j), alpha = K^-1 (y - m).
+    d/dtheta_j = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta_j), alpha = K^-1 y.
     """
     if data.n < 1:
         raise ValueError("evidence requires at least one data point")
-    partials, factor, precision, dev = _output_precision(model, data)
-    alpha = precision @ dev
+    partials, factor, precision = _output_precision(kernel, data)
+    alpha = precision @ data.y
     grad = _contract(0.5 * (np.outer(alpha, alpha) - precision), partials)
-    return _logpdf_dev(factor, dev), grad
+    return _logpdf_dev(factor, data.y), grad
 
 
-def log_evidence(model: GPModel, data: Dataset) -> float:
+def log_evidence(kernel: KernelSpec, data: Dataset) -> float:
     """log p(y | X) under the GP prior and Gaussian noise."""
-    return log_evidence_and_grad(model, data)[0]
+    return log_evidence_and_grad(kernel, data)[0]
 
 
-def loo_cv_and_grad(model: GPModel, data: Dataset) -> tuple[float, np.ndarray]:
+def loo_cv_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, np.ndarray]:
     """Negative mean LOO log predictive density and its gradient in ``kernel.theta()``.
 
     Each fold's predictive is the 1-D conditional of y_k given the remaining
-    outputs under the joint N(m(X), K + sigma_n^2 I), read off the precision
+    outputs under the joint N(0, K + sigma_n^2 I), read off the precision
     matrix P = K^-1 in O(N^3) total rather than refactoring per fold. The
     gradient is GPML eq. 5.13 (Sundararajan & Keerthi 2001) with its per-fold
     sums folded into one weight matrix, so every coordinate costs one
@@ -132,9 +123,9 @@ def loo_cv_and_grad(model: GPModel, data: Dataset) -> tuple[float, np.ndarray]:
     """
     if data.n < 2:
         raise ValueError("leave-one-out requires at least two data points")
-    partials, _, precision, dev = _output_precision(model, data)
+    partials, _, precision = _output_precision(kernel, data)
     q = np.diag(precision)
-    alpha = precision @ dev
+    alpha = precision @ data.y
     # fold k: mean y_k - alpha_k / q_k, variance 1 / q_k
     log_pred = -0.5 * (np.log(2.0 * np.pi / q) + alpha**2 / q)
     # With a = alpha / q and c = (1 + alpha^2 / q) / (2 q), eq. 5.13 summed over
@@ -146,21 +137,21 @@ def loo_cv_and_grad(model: GPModel, data: Dataset) -> tuple[float, np.ndarray]:
     return float(-np.mean(log_pred)), -grad / data.n
 
 
-def loo_cv_objective(model: GPModel, data: Dataset) -> float:
+def loo_cv_objective(kernel: KernelSpec, data: Dataset) -> float:
     """Negative mean leave-one-out log predictive density (lower is better)."""
-    return loo_cv_and_grad(model, data)[0]
+    return loo_cv_and_grad(kernel, data)[0]
 
 
-def predict(model: GPModel, train: Dataset, xstar) -> GaussianDist:
+def predict(kernel: KernelSpec, train: Dataset, xstar) -> GaussianDist:
     """Predictive Gaussian over noisy test outputs at the given inputs."""
     xstar = np.atleast_2d(np.asarray(xstar, dtype=float))
     if xstar.shape[1] < 1:
         raise ValueError("prediction requires at least one test input")
-    factor, _ = chol_spd(noisy_kernel_matrix(model.kernel, train.X), "training covariance")
-    cross = kernel_matrix(model.kernel, train.X, xstar)  # (N, P)
+    factor, _ = chol_spd(noisy_kernel_matrix(kernel, train.X), "training covariance")
+    cross = kernel_matrix(kernel, train.X, xstar)  # (N, P)
     gain = cho_solve((factor, True), cross)
-    mean = mean_vector(model.mean, xstar) + gain.T @ (train.y - mean_vector(model.mean, train.X))
-    cov = noisy_kernel_matrix(model.kernel, xstar) - cross.T @ gain
+    mean = gain.T @ train.y
+    cov = noisy_kernel_matrix(kernel, xstar) - cross.T @ gain
     return GaussianDist.from_moments(mean, 0.5 * (cov + cov.T), "predictive covariance")
 
 

@@ -164,7 +164,7 @@ class TestFit:
 
 
 class TestRank:
-    def rank_args(self, tmp_path, seed=4, threads=1):
+    def rank_args(self, tmp_path, seed=4):
         return [
             "rank",
             "--teacher-kernel",
@@ -191,8 +191,6 @@ class TestRank:
             "1",
             "--restarts",
             "1",
-            "--threads",
-            str(threads),
             "--seed",
             str(seed),
             "--out",
@@ -233,6 +231,21 @@ class TestRank:
     def test_requires_teacher_or_data(self, tmp_path):
         code = main(["rank", "--out", str(tmp_path / "r")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--threads", "2"],
+            ["--students", "se,se,exp"],
+            ["--criteria", "evidence,loo,evidence"],
+            ["--n-test", "0"],
+            ["--restarts", "0"],
+        ],
+    )
+    def test_invalid_argument_value_exits_2(self, tmp_path, extra):
+        # a repeated flag overrides the value rank_args set
+        assert main(self.rank_args(tmp_path) + extra) == 2
+        assert not (tmp_path / "rank_out.json").exists()
 
 
 class TestEval:

@@ -17,10 +17,8 @@ from gpselect import (
     AscConfig,
     AscVariant,
     Dataset,
-    GPModel,
     InsufficientData,
     KernelSpec,
-    MeanSpec,
     Partition,
     average_log_eta,
     kernel_matrix,
@@ -52,7 +50,6 @@ def dense_m2_instance(rng, structure="se"):
         alpha=1.5,
         period=3.0,
     )
-    model = GPModel(MeanSpec(), kern)
     gram = kernel_matrix(kern, x, x)
     f = np.linalg.cholesky(gram + 1e-10 * np.eye(n)) @ rng.standard_normal(n)
     y = f + float(np.exp(kern.log_noise)) * rng.standard_normal(n)
@@ -61,7 +58,7 @@ def dense_m2_instance(rng, structure="se"):
     order = np.argsort(x[0])
     idx1, idx2 = np.sort(order[0::2]), np.sort(order[1::2])
     a, b = int(order[3]), int(order[8])  # separated anchor pair
-    return model, data, Partition(idx1, idx2, np.sort([a, b]))
+    return kern, data, Partition(idx1, idx2, np.sort([a, b]))
 
 
 class TestSamplePartitions:
@@ -114,13 +111,9 @@ class TestPartitionValidation:
 
 
 class TestAscConfig:
-    def test_beta_fixed_at_one(self):
-        with pytest.raises(ValueError):
-            AscConfig(M=1, J=1, beta=0.5)
-
     def test_defaults_valid(self):
         cfg = AscConfig()
-        assert cfg.beta == 1.0
+        assert (cfg.M, cfg.J, cfg.seed) == (2, 32, 0)
 
 
 class TestLogEtaBayesian:
@@ -129,9 +122,7 @@ class TestLogEtaBayesian:
         # prior, so eta is the integral of a cubed standard normal
         n = 6
         x = np.linspace(0, 5, n).reshape(1, -1)
-        model = GPModel(
-            MeanSpec(), KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=1e6)
-        )
+        model = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=1e6)
         data = Dataset(x, np.zeros(n))
         part = Partition([0, 1, 2], [3, 4, 5], [2])
         got = log_eta_bayesian(model, data, part)
@@ -184,13 +175,14 @@ class TestLogEtaBayesian:
 
         from gpselect.gaussian import chol_spd
 
-        mean_anchor, cov_anchor, halves = _anchor_blocks(model, data, part, None)
-        for which, (y_i, m_i, cov_i, cross_i) in enumerate(halves):
+        cov_anchor, _, halves = _anchor_blocks(model, data, part, None)
+        for which, (y_i, cov_i, cross_i) in enumerate(halves):
             factor, _ = chol_spd(cov_i)
             gain = cho_solve((factor, True), cross_i)
             block_cov = cov_anchor - cross_i.T @ gain
             cond = half_posterior(model, data, part, which)
             np.testing.assert_allclose(block_cov, cond.cov, atol=1e-10)
+            np.testing.assert_allclose(gain.T @ y_i, cond.mean, atol=1e-10)
 
 
 class TestLogEtaBetaNoise:
@@ -240,9 +232,7 @@ class TestSigmaDirectionalSanity:
             part = Partition(np.arange(0, 2 * n_pairs, 2), np.arange(1, 2 * n_pairs, 2), [8])
             previous = None
             for sn in (0.3, 0.1, 0.03, 0.01):
-                model = GPModel(
-                    MeanSpec(), KernelSpec.create("se", lengthscale=ell, signal=1.0, noise=sn)
-                )
+                model = KernelSpec.create("se", lengthscale=ell, signal=1.0, noise=sn)
                 means = [
                     float(half_posterior(model, data, part, w).mean[0]) for w in (0, 1)
                 ]
@@ -296,9 +286,7 @@ class TestAverageLogEta:
         # average must still come back with the failure fraction
         x = np.array([[0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]])
         y = np.array([0.1, 0.1, -0.2, -0.2, 0.3, 0.3, 0.0, 0.0])
-        model = GPModel(
-            MeanSpec(), KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=1e-8)
-        )
+        model = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=1e-8)
         data = Dataset(x, y)
         parts = sample_partitions(8, AscConfig(M=2, J=16, seed=7))
         for variant in AscVariant:

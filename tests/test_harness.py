@@ -9,9 +9,7 @@ from gpselect import (
     Dataset,
     EmptyData,
     ExperimentConfig,
-    GPModel,
     KernelSpec,
-    MeanSpec,
     OptimizationFailed,
     SchemaError,
     aggregate_ranks,
@@ -26,7 +24,7 @@ harness_module = importlib.import_module("gpselect.harness")
 
 
 def teacher(ell=1.0, sf=1.0, sn=0.1):
-    return GPModel(MeanSpec(), KernelSpec.create("se", lengthscale=ell, signal=sf, noise=sn))
+    return KernelSpec.create("se", lengthscale=ell, signal=sf, noise=sn)
 
 
 def tiny_config(**overrides):
@@ -127,7 +125,7 @@ class TestRankStudents:
         real_optimize = harness_module.optimize
 
         def flaky(obj, template, data, restarts, seed):
-            if template.kernel.structure.value == "exp":
+            if template.structure.value == "exp":
                 raise OptimizationFailed("forced")
             return real_optimize(obj, template, data, restarts, seed)
 
@@ -189,14 +187,22 @@ class TestAggregateRanks:
             assert abs(report.mean_rank[col]["se"] - true_mean) < 3 * se + 1e-12
 
 
-class TestRunRanking:
-    def test_threads_do_not_change_report(self):
-        cfg_serial = tiny_config(threads=1)
-        cfg_parallel = tiny_config(threads=8)
-        a = run_ranking(cfg_serial).to_dict()
-        b = run_ranking(cfg_parallel).to_dict()
-        assert a == b
+class TestExperimentConfig:
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ({"students": ("se", "se", "exp")}, "duplicate students"),
+            ({"criteria": (Criterion.EVIDENCE, "loo", "evidence")}, "duplicate criteria"),
+            ({"n_test": 0}, "n_test"),
+            ({"restarts": 0}, "restart"),
+        ],
+    )
+    def test_invalid_values_rejected(self, override, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**override)
 
+
+class TestRunRanking:
     def test_real_data_mode_splits(self):
         rng = np.random.default_rng(17)
         x = rng.uniform(0, 10, (1, 40))

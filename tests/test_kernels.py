@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gpselect import KernelSpec, KernelStructure, MeanSpec, kernel_matrix, mean_vector, noisy_kernel_matrix
+from gpselect import KernelSpec, KernelStructure, kernel_matrix, noisy_kernel_matrix
 from gpselect.kernels import gram_from_sq_dists, gram_partials, pairwise_sq_dists
 
 ALL_STRUCTURES = [s.value for s in KernelStructure]
@@ -44,18 +44,6 @@ class TestFormulas:
         assert at_period == pytest.approx(sf2, rel=1e-12)
         half = kernel_matrix(spec, [[0.0]], [[1.0]])[0, 0]
         assert half == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-
-class TestMeanVector:
-    def test_zero_mean_length(self):
-        np.testing.assert_array_equal(mean_vector(MeanSpec(), np.zeros((2, 3))), np.zeros(3))
-
-    def test_zero_mean_empty(self):
-        assert mean_vector(MeanSpec(), np.zeros((1, 0))).size == 0
-
-    def test_zero_mean_norm(self):
-        rng = np.random.default_rng(0)
-        assert np.linalg.norm(mean_vector(MeanSpec(), rng.standard_normal((3, 7)))) == 0.0
 
 
 class TestNoisyMatrix:

@@ -6,9 +6,7 @@ from gpselect import (
     AscConfig,
     Criterion,
     Dataset,
-    GPModel,
     KernelSpec,
-    MeanSpec,
     ObjectiveSpec,
     OptimizationFailed,
     SingularCovariance,
@@ -23,7 +21,7 @@ from gpselect.optimize import lbfgs_minimize
 
 
 def se_template():
-    return GPModel(MeanSpec(), KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=1.0))
+    return KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=1.0)
 
 
 class TestFiniteDiffGradient:
@@ -49,12 +47,11 @@ class TestFiniteDiffGradient:
         rng = np.random.default_rng(0)
         for _ in range(5):
             model, data = random_gp_instance(rng, n_lo=8, n_hi=12)
-            kern = model.kernel
 
             def f(theta):
-                return log_evidence(GPModel(model.mean, kern.with_theta(theta)), data)
+                return log_evidence(model.with_theta(theta), data)
 
-            numeric, _ = finite_diff_gradient(f, kern.theta())
+            numeric, _ = finite_diff_gradient(f, model.theta())
             analytic = evidence_gradient_oracle(model, data)
             np.testing.assert_allclose(
                 numeric, analytic, atol=1e-4 * max(1.0, float(np.max(np.abs(analytic))))
@@ -118,20 +115,20 @@ class TestOptimize:
         rng = np.random.default_rng(2)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
         result = optimize(ObjectiveSpec(Criterion.EVIDENCE), se_template(), data, 2, seed=3)
-        fitted = GPModel(MeanSpec(), se_template().kernel.with_theta(result.theta))
+        fitted = se_template().with_theta(result.theta)
         value, _ = evaluate_criterion(Criterion.EVIDENCE, fitted, data)
         assert result.objective_value == pytest.approx(value, abs=1e-9)
 
     def test_gradient_small_when_converged(self):
         rng = np.random.default_rng(3)
-        teacher = GPModel(MeanSpec(), KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.3))
+        teacher = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.3)
         train, _ = sample_synthetic(teacher, 32, 1, seed=5)
         result = optimize(ObjectiveSpec(Criterion.EVIDENCE), se_template(), train, 2, seed=5)
         if result.converged:
-            kern = se_template().kernel
+            kern = se_template()
 
             def f(theta):
-                return log_evidence(GPModel(MeanSpec(), kern.with_theta(theta)), train)
+                return log_evidence(kern.with_theta(theta), train)
 
             grad, _ = finite_diff_gradient(f, result.theta)
             assert np.linalg.norm(grad) < 1e-3 * (1.0 + abs(result.objective_value))
@@ -140,9 +137,7 @@ class TestOptimize:
         rng = np.random.default_rng(4)
         model, data = random_gp_instance(rng, n_lo=14, n_hi=14, structure="per")
         spec = ObjectiveSpec(Criterion.EVIDENCE)
-        template = GPModel(
-            MeanSpec(), KernelSpec.create("per", lengthscale=1.0, period=1.0, signal=1.0, noise=1.0)
-        )
+        template = KernelSpec.create("per", lengthscale=1.0, period=1.0, signal=1.0, noise=1.0)
         one = optimize(spec, template, data, restarts=1, seed=9)
         eight = optimize(spec, template, data, restarts=8, seed=9)
         assert eight.objective_value >= one.objective_value - 1e-12
@@ -151,9 +146,9 @@ class TestOptimize:
         rng = np.random.default_rng(5)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
         result = optimize(ObjectiveSpec(Criterion.LOO), se_template(), data, 2, seed=6)
-        fitted = GPModel(MeanSpec(), se_template().kernel.with_theta(result.theta))
+        fitted = se_template().with_theta(result.theta)
         at_fit, _ = evaluate_criterion(Criterion.LOO, fitted, data)
-        perturbed = GPModel(MeanSpec(), se_template().kernel.with_theta(result.theta + 0.5))
+        perturbed = se_template().with_theta(result.theta + 0.5)
         worse, _ = evaluate_criterion(Criterion.LOO, perturbed, data)
         assert at_fit <= worse + 1e-9
 
@@ -198,7 +193,7 @@ class TestOptimize:
         visited = []
 
         def recording(model, data):
-            visited.append(model.kernel.theta())
+            visited.append(model.theta())
             return exact(model, data)
 
         def no_finite_differences(*args, **kwargs):
@@ -216,9 +211,7 @@ class TestOptimize:
 
     def test_evidence_recovers_teacher_scale(self):
         # single-replicate smoke: the full recovery study is in acceptance
-        teacher = GPModel(
-            MeanSpec(), KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.1)
-        )
+        teacher = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.1)
         train, _ = sample_synthetic(teacher, 64, 1, seed=123)
         result = optimize(ObjectiveSpec(Criterion.EVIDENCE), se_template(), train, 3, seed=4)
         recovered = np.exp(result.theta)

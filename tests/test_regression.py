@@ -10,11 +10,9 @@ from gpselect import (
     Dataset,
     DegenerateBaseline,
     GaussianDist,
-    GPModel,
     JointGaussian,
     KernelSpec,
     KernelStructure,
-    MeanSpec,
     condition,
     finite_diff_gradient,
     joint_latent_output,
@@ -31,7 +29,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 def se_model(ell=1.0, sf=1.0, sn=0.1):
-    return GPModel(MeanSpec(), KernelSpec.create("se", lengthscale=ell, signal=sf, noise=sn))
+    return KernelSpec.create("se", lengthscale=ell, signal=sf, noise=sn)
 
 
 class TestDataset:
@@ -76,7 +74,7 @@ class TestLogEvidence:
         rng = np.random.default_rng(1)
         model, data = random_gp_instance(rng)
         d = GaussianDist.from_moments(
-            np.zeros(data.n), noisy_kernel_matrix(model.kernel, data.X)
+            np.zeros(data.n), noisy_kernel_matrix(model, data.X)
         )
         assert log_evidence(model, data) == pytest.approx(d.log_density(data.y), abs=1e-12)
 
@@ -84,7 +82,7 @@ class TestLogEvidence:
         rng = np.random.default_rng(2)
         for _ in range(5):
             model, data = random_gp_instance(rng, n_lo=8, n_hi=8)
-            cov = noisy_kernel_matrix(model.kernel, data.X)
+            cov = noisy_kernel_matrix(model, data.X)
             inv = np.linalg.inv(cov)
             _, logdet = np.linalg.slogdet(cov)
             expected = -0.5 * (data.y @ inv @ data.y + logdet + data.n * LOG_2PI)
@@ -105,7 +103,7 @@ class TestLooCv:
         data = Dataset([[0.0, 1.0]], [0.4, 0.4])
         # with exchangeable points both folds carry the same loss; the mean
         # equals either fold, checked via explicit conditioning
-        joint_cov = noisy_kernel_matrix(model.kernel, data.X)
+        joint_cov = noisy_kernel_matrix(model, data.X)
         var = joint_cov[0, 0] - joint_cov[0, 1] ** 2 / joint_cov[1, 1]
         mean = joint_cov[0, 1] / joint_cov[1, 1] * data.y[1]
         fold = -0.5 * (math.log(2 * math.pi * var) + (data.y[0] - mean) ** 2 / var)
@@ -115,7 +113,7 @@ class TestLooCv:
         rng = np.random.default_rng(4)
         for _ in range(5):
             model, data = random_gp_instance(rng)
-            cov = noisy_kernel_matrix(model.kernel, data.X)
+            cov = noisy_kernel_matrix(model, data.X)
             total = 0.0
             for k in range(data.n):
                 rest = np.delete(np.arange(data.n), k)
@@ -137,7 +135,7 @@ class TestLooCv:
         gaps = []
         for sn in (2.0, 8.0, 32.0):
             model = se_model(sn=sn)
-            prior_vars = np.diag(noisy_kernel_matrix(model.kernel, x))
+            prior_vars = np.diag(noisy_kernel_matrix(model, x))
             prior_loss = float(
                 np.mean(0.5 * (np.log(2 * np.pi * prior_vars) + y**2 / prior_vars))
             )
@@ -183,7 +181,7 @@ class TestExactGradients:
         oracle = evidence_gradient_oracle(model, data)
         # 1e-8 relative, unless round-off in solving with K allows more: both
         # routes invert K, so each is only good to about n cond(K) eps
-        cond = np.linalg.cond(noisy_kernel_matrix(model.kernel, data.X))
+        cond = np.linalg.cond(noisy_kernel_matrix(model, data.X))
         rtol = max(1e-8, data.n * cond * np.finfo(float).eps)
         scale = max(1.0, float(np.max(np.abs(oracle))))
         assert np.max(np.abs(grad - oracle)) <= rtol * scale
@@ -196,10 +194,10 @@ class TestExactGradients:
         model, data = _gradient_instance(structure, seed, log10_noise)
         value, grad = loo_cv_and_grad(model, data)
         assert value == loo_cv_objective(model, data)
-        kern = model.kernel
+        kern = model
 
         def f(theta):
-            return loo_cv_objective(GPModel(model.mean, kern.with_theta(theta)), data)
+            return loo_cv_objective(kern.with_theta(theta), data)
 
         # central differences trade truncation against round-off differently
         # per coordinate, so each coordinate is held to its best step; even
@@ -235,9 +233,9 @@ class TestPredict:
         joint = JointGaussian(
             mean_top=np.zeros(3),
             mean_bottom=np.zeros(data.n),
-            cov_tt=noisy_kernel_matrix(model.kernel, xstar),
-            cov_bb=noisy_kernel_matrix(model.kernel, data.X),
-            cov_bt=kernel_matrix(model.kernel, data.X, xstar),
+            cov_tt=noisy_kernel_matrix(model, xstar),
+            cov_bb=noisy_kernel_matrix(model, data.X),
+            cov_bt=kernel_matrix(model, data.X, xstar),
         )
         cond = condition(joint, data.y)
         np.testing.assert_allclose(pred.mean, cond.mean, atol=1e-10)
@@ -249,8 +247,8 @@ class TestPredict:
             model, data = random_gp_instance(rng, structure=structure)
             xstar = rng.uniform(0, 6, (1, 5))
             pred = predict(model, data, xstar)
-            prior_var = kernel_matrix(model.kernel, xstar[:, :1], xstar[:, :1])[0, 0]
-            prior_var += model.kernel.noise_variance
+            prior_var = kernel_matrix(model, xstar[:, :1], xstar[:, :1])[0, 0]
+            prior_var += model.noise_variance
             assert np.max(np.diag(pred.cov)) <= prior_var + 1e-8
 
     def test_adding_a_point_never_inflates_variance(self):
