@@ -24,9 +24,6 @@ from .errors import (
 )
 from .gaussian import (
     GaussianDist,
-    JointGaussian,
-    condition,
-    log_gaussian_quadratic_integral,
     log_product_integral,
     maxent_linear_map_posterior,
 )
@@ -48,7 +45,7 @@ from .optimize import (
     finite_diff_gradient,
     optimize,
 )
-from .regression import Dataset, joint_latent_output, log_evidence, loo_cv_objective, msll, predict
+from .regression import Dataset, log_evidence, loo_cv_objective, msll, predict
 
 __all__ = [
     "AllPartitionsFailed",
@@ -63,7 +60,6 @@ __all__ = [
     "GaussianDist",
     "GpSelectError",
     "InsufficientData",
-    "JointGaussian",
     "KernelSpec",
     "KernelStructure",
     "ObjectiveSpec",
@@ -76,16 +72,13 @@ __all__ = [
     "SingularCovariance",
     "aggregate_ranks",
     "average_log_eta",
-    "condition",
     "evaluate_criterion",
     "finite_diff_gradient",
-    "joint_latent_output",
     "kernel_matrix",
     "load_csv_dataset",
     "log_eta_bayesian",
     "log_eta_beta_noise",
     "log_evidence",
-    "log_gaussian_quadratic_integral",
     "log_product_integral",
     "loo_cv_objective",
     "maxent_linear_map_posterior",

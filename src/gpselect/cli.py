@@ -203,7 +203,7 @@ def cmd_rank(args) -> int:
             replicates=args.replicates,
             n_train=args.n_train,
             n_test=args.n_test,
-            asc=AscConfig(M=args.M, J=args.J, seed=derived_seed(seed, 3)),
+            asc=AscConfig(M=args.M, J=args.J),
             seed=seed,
             teacher=teacher,
             data=data,

@@ -19,7 +19,13 @@ from scipy.linalg import cho_solve
 from scipy.special import logsumexp
 
 from .errors import AllPartitionsFailed, InsufficientData, RankDeficient, SingularCovariance
-from .gaussian import GaussianDist, chol_spd, log_product_integral, maxent_linear_map_posterior
+from .gaussian import (
+    GaussianDist,
+    chol_spd,
+    condition,
+    log_product_integral,
+    maxent_linear_map_posterior,
+)
 from .kernels import KernelSpec, kernel_matrix
 from .regression import Dataset
 
@@ -128,11 +134,7 @@ def _log_eta_bayesian(kernel, data, part, gram) -> float:
     components = []
     for y_i, cov_i, cross_i in halves:
         factor, _ = chol_spd(cov_i, "half covariance")
-        gain = cho_solve((factor, True), cross_i)  # K_i^{-1} cross
-        post_cov = cov_anchor - cross_i.T @ gain
-        components.append(
-            GaussianDist.from_moments(gain.T @ y_i, 0.5 * (post_cov + post_cov.T), "posterior covariance")
-        )
+        components.append(condition(factor, cross_i, cov_anchor, y_i, "posterior covariance"))
     components.append(prior)
     return log_product_integral(components)
 

@@ -100,62 +100,21 @@ class GaussianDist:
         return _logpdf_dev(self.chol, x - self.mean)
 
 
-@dataclass(frozen=True, eq=False)
-class JointGaussian:
-    """Block Gaussian over stacked (top, bottom) vectors.
+def condition(factor, cross, cov_target, observed, name: str = "conditional covariance") -> GaussianDist:
+    """Zero-mean Gaussian over targets given observed values (GPML eqs. 2.23-2.24).
 
-    ``cov_bt`` is the bottom-by-top cross block, so the assembled covariance
-    is ``[[cov_tt, cov_bt.T], [cov_bt, cov_bb]]``.
+    ``factor`` is the lower Cholesky factor of the observed block's covariance
+    K (from :func:`chol_spd`), ``cross`` the observed-by-target covariance and
+    ``cov_target`` the targets' prior covariance. The result has mean
+    ``cross^T K^-1 observed`` and covariance ``cov_target - cross^T K^-1 cross``.
     """
-
-    mean_top: np.ndarray
-    mean_bottom: np.ndarray
-    cov_tt: np.ndarray
-    cov_bb: np.ndarray
-    cov_bt: np.ndarray
-
-    def __post_init__(self):
-        m, n = self.mean_top.size, self.mean_bottom.size
-        if self.cov_tt.shape != (m, m):
-            raise ValueError(f"top covariance shape {self.cov_tt.shape}, expected {(m, m)}")
-        if self.cov_bb.shape != (n, n):
-            raise ValueError(f"bottom covariance shape {self.cov_bb.shape}, expected {(n, n)}")
-        if self.cov_bt.shape != (n, m):
-            raise ValueError(f"cross block shape {self.cov_bt.shape}, expected {(n, m)}")
-
-    def assembled_mean(self) -> np.ndarray:
-        return np.concatenate([self.mean_top, self.mean_bottom])
-
-    def assembled_cov(self) -> np.ndarray:
-        return np.block([[self.cov_tt, self.cov_bt.T], [self.cov_bt, self.cov_bb]])
-
-
-def condition(joint: JointGaussian, observed_bottom) -> GaussianDist:
-    """Gaussian over the top block given an observed bottom block."""
-    obs = np.asarray(observed_bottom, dtype=float).reshape(-1)
-    if obs.size != joint.mean_bottom.size:
-        raise ValueError(
-            f"observation has length {obs.size}, expected {joint.mean_bottom.size}"
-        )
-    factor, _ = chol_spd(joint.cov_bb, "bottom-block covariance")
-    gain = cho_solve((factor, True), joint.cov_bt)  # cov_bb^{-1} cov_bt
-    mean = joint.mean_top + gain.T @ (obs - joint.mean_bottom)
-    cov = joint.cov_tt - joint.cov_bt.T @ gain
-    return GaussianDist.from_moments(mean, 0.5 * (cov + cov.T), "conditional covariance")
-
-
-def log_gaussian_quadratic_integral(mu, lam) -> float:
-    """log of  integral exp(x^T (mu - Lambda x / 2)) dx  for SPD Lambda.
-
-    Equals ``-log|Lambda| - log N(mu | 0, Lambda)`` with Lambda placed in the
-    covariance slot of the density.
-    """
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (mu.size, mu.size):
-        raise ValueError(f"matrix shape {lam.shape} does not match vector length {mu.size}")
-    factor, _ = chol_spd(lam, "quadratic-form matrix")
-    return -2.0 * _half_logdet(factor) - _logpdf_dev(factor, mu)
+    gain = cho_solve((factor, True), cross)  # K^{-1} cross
+    cov = cov_target - cross.T @ gain
+    # symmetrize in place: cov_target stays referenced, so a copy here would
+    # keep one more (P, P) array alive while from_moments factors
+    cov += cov.T
+    cov *= 0.5
+    return GaussianDist.from_moments(gain.T @ observed, cov, name)
 
 
 def log_product_integral(components: list[GaussianDist]) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import metadata
 
 import numpy as np
@@ -144,9 +144,7 @@ def _midranks(values, higher_better: bool) -> np.ndarray:
 def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=None) -> ReplicateResult:
     """Fit and score all student kernels on one train/test replicate."""
     base = cfg.seed if seed is None else seed
-    parts = sample_partitions(
-        train.n, AscConfig(M=cfg.asc.M, J=cfg.asc.J, seed=derived_seed(base, 1))
-    )
+    parts = sample_partitions(train.n, replace(cfg.asc, seed=derived_seed(base, 1)))
     names = [s.value for s in cfg.students]
     scores: dict = {col: {} for col in cfg.columns}
     asc_fracs: dict = {}
@@ -289,15 +287,7 @@ def run_ranking(cfg: ExperimentConfig) -> RankingReport:
     survivors = [rep for rep in results if rep is not None]
     if not survivors:
         raise OptimizationFailed(f"all {cfg.replicates} replicates failed")
-    report = aggregate_ranks(survivors)
-    return RankingReport(
-        students=report.students,
-        columns=report.columns,
-        mean_rank=report.mean_rank,
-        ci_halfwidth=report.ci_halfwidth,
-        replicates=report.replicates,
-        failed_replicates=len(results) - len(survivors),
-    )
+    return replace(aggregate_ranks(survivors), failed_replicates=len(results) - len(survivors))
 
 
 def load_csv_dataset(path, input_columns, output_column, *, shift=None, scale=None) -> Dataset:

@@ -274,7 +274,6 @@ def optimize(
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    obj = obj if isinstance(obj, ObjectiveSpec) else ObjectiveSpec(obj)
     parts = None
     if obj.criterion in _ASC_VARIANTS:
         parts = sample_partitions(data.n, obj.asc_config)

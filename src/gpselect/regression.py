@@ -1,4 +1,4 @@
-"""Zero-mean Gaussian-process regression: joints, predictives, and the classic objectives."""
+"""Zero-mean Gaussian-process regression: predictives and the classic objectives."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import DegenerateBaseline
-from .gaussian import GaussianDist, JointGaussian, chol_spd, _LOG_2PI, _logpdf_dev
+from .gaussian import GaussianDist, chol_spd, condition, _LOG_2PI, _logpdf_dev
 from .kernels import (
     KernelSpec,
     gram_from_sq_dists,
@@ -48,25 +48,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[0]
-
-
-def joint_latent_output(kernel: KernelSpec, anchors, data: Dataset) -> JointGaussian:
-    """Joint Gaussian over (latent values at the anchors, noisy outputs).
-
-    Top block: latent f at the anchor inputs, noise-free. Bottom block: the
-    observed outputs with sigma_n^2 on the diagonal. The anchor Gram matrix
-    must factor (after jitter) or SingularCovariance is raised.
-    """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    cov_tt = kernel_matrix(kernel, anchors, anchors)
-    chol_spd(cov_tt, "anchor covariance")  # invertibility check only
-    return JointGaussian(
-        mean_top=np.zeros(anchors.shape[1]),
-        mean_bottom=np.zeros(data.n),
-        cov_tt=cov_tt,
-        cov_bb=noisy_kernel_matrix(kernel, data.X),
-        cov_bt=kernel_matrix(kernel, data.X, anchors),
-    )
 
 
 def _output_precision(kernel: KernelSpec, data: Dataset):
@@ -149,10 +130,9 @@ def predict(kernel: KernelSpec, train: Dataset, xstar) -> GaussianDist:
         raise ValueError("prediction requires at least one test input")
     factor, _ = chol_spd(noisy_kernel_matrix(kernel, train.X), "training covariance")
     cross = kernel_matrix(kernel, train.X, xstar)  # (N, P)
-    gain = cho_solve((factor, True), cross)
-    mean = gain.T @ train.y
-    cov = noisy_kernel_matrix(kernel, xstar) - cross.T @ gain
-    return GaussianDist.from_moments(mean, 0.5 * (cov + cov.T), "predictive covariance")
+    return condition(
+        factor, cross, noisy_kernel_matrix(kernel, xstar), train.y, "predictive covariance"
+    )
 
 
 def msll(predictive: GaussianDist, y_test, train_y) -> float:

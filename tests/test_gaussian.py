@@ -13,14 +13,12 @@ from _oracles import (
 )
 from gpselect import (
     GaussianDist,
-    JointGaussian,
     RankDeficient,
     SingularCovariance,
-    condition,
-    log_gaussian_quadratic_integral,
     log_product_integral,
     maxent_linear_map_posterior,
 )
+from gpselect.gaussian import chol_spd, condition
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -82,120 +80,37 @@ class TestLogDensity:
 class TestCondition:
     def test_zero_cross_block_is_identity(self):
         rng = np.random.default_rng(3)
-        cov_tt = random_spd(rng, 2)
-        joint = JointGaussian(
-            mean_top=np.array([1.0, -2.0]),
-            mean_bottom=np.array([0.5]),
-            cov_tt=cov_tt,
-            cov_bb=np.array([[2.0]]),
-            cov_bt=np.zeros((1, 2)),
-        )
-        cond = condition(joint, [7.0])
-        np.testing.assert_allclose(cond.mean, [1.0, -2.0], atol=1e-14)
-        np.testing.assert_allclose(cond.cov, cov_tt, atol=1e-14)
+        cov_target = random_spd(rng, 2)
+        cond = condition(np.array([[np.sqrt(2.0)]]), np.zeros((1, 2)), cov_target, [7.0])
+        np.testing.assert_allclose(cond.mean, [0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(cond.cov, cov_target, atol=1e-14)
 
     def test_bivariate_textbook_case(self):
         rho, u0 = 0.5, 2.0
-        joint = JointGaussian(
-            mean_top=np.zeros(1),
-            mean_bottom=np.zeros(1),
-            cov_tt=np.array([[1.0]]),
-            cov_bb=np.array([[1.0]]),
-            cov_bt=np.array([[rho]]),
-        )
-        cond = condition(joint, [u0])
+        cond = condition(np.array([[1.0]]), np.array([[rho]]), np.array([[1.0]]), [u0])
         assert cond.mean[0] == pytest.approx(1.0, abs=1e-13)
         assert cond.cov[0, 0] == pytest.approx(0.75, abs=1e-13)
 
     def test_matches_joint_over_marginal_ratio(self):
         rng = np.random.default_rng(4)
         m, n = 3, 2
-        full = random_spd(rng, m + n)
-        joint = JointGaussian(
-            mean_top=rng.uniform(-1, 1, m),
-            mean_bottom=rng.uniform(-1, 1, n),
-            cov_tt=full[:m, :m],
-            cov_bb=full[m:, m:],
-            cov_bt=full[m:, :m],
-        )
+        full = random_spd(rng, m + n)  # targets first, then observed
         obs = rng.uniform(-1, 1, n)
-        cond = condition(joint, obs)
-        log_marg = mvn_logpdf(obs, joint.mean_bottom, joint.cov_bb)
+        factor = np.linalg.cholesky(full[m:, m:])
+        cond = condition(factor, full[m:, :m], full[:m, :m], obs)
+        log_marg = mvn_logpdf(obs, np.zeros(n), full[m:, m:])
         for _ in range(5):
             t = rng.uniform(-2, 2, m)
-            log_joint = mvn_logpdf(np.concatenate([t, obs]), joint.assembled_mean(), joint.assembled_cov())
+            log_joint = mvn_logpdf(np.concatenate([t, obs]), np.zeros(m + n), full)
             assert cond.log_density(t) == pytest.approx(log_joint - log_marg, abs=1e-8)
 
-    def test_conditional_mean_remarginalizes(self):
-        # E_u[ conditional mean ] over the bottom marginal equals the top mean
-        rng = np.random.default_rng(5)
-        m, n = 2, 3
-        full = random_spd(rng, m + n)
-        joint = JointGaussian(
-            mean_top=rng.uniform(-1, 1, m),
-            mean_bottom=rng.uniform(-1, 1, n),
-            cov_tt=full[:m, :m],
-            cov_bb=full[m:, m:],
-            cov_bt=full[m:, :m],
-        )
-        n_samples = 100_000
-        chol_bb = np.linalg.cholesky(joint.cov_bb)
-        draws = joint.mean_bottom[:, None] + chol_bb @ rng.standard_normal((n, n_samples))
-        gain = joint.cov_bt.T @ np.linalg.inv(joint.cov_bb)
-        cond_means = joint.mean_top[:, None] + gain @ (draws - joint.mean_bottom[:, None])
-        mc_mean = cond_means.mean(axis=1)
-        mc_se = cond_means.std(axis=1, ddof=1) / math.sqrt(n_samples)
-        np.testing.assert_array_less(np.abs(mc_mean - joint.mean_top), 3 * mc_se + 1e-12)
-
     def test_singular_bottom_block_raises_with_pivot(self):
-        joint = JointGaussian(
-            mean_top=np.zeros(1),
-            mean_bottom=np.zeros(2),
-            cov_tt=np.eye(1),
-            cov_bb=np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3, -1
-            cov_bt=np.zeros((2, 1)),
-        )
+        # callers factor the observed block with chol_spd before conditioning
+        bottom = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(SingularCovariance) as excinfo:
-            condition(joint, [0.0, 0.0])
+            chol_spd(bottom, "bottom-block covariance")
         assert excinfo.value.smallest_pivot is not None
         assert excinfo.value.smallest_pivot < 0
-
-
-class TestQuadraticIntegral:
-    def test_standard_gaussian_integral(self):
-        assert log_gaussian_quadratic_integral([0.0], [[1.0]]) == pytest.approx(
-            0.5 * LOG_2PI, abs=1e-12
-        )
-
-    def test_shifted_case_matches_quadrature(self):
-        got = log_gaussian_quadratic_integral([1.0], [[2.0]])
-        assert got == pytest.approx(math.log(math.sqrt(math.pi)) + 0.25, rel=1e-12)
-        expected = log_integral_1d(lambda x: x * (1.0 - x), -10.0, 10.0)
-        assert got == pytest.approx(expected, rel=1e-8)
-
-    def test_diagonal_separates(self):
-        combined = log_gaussian_quadratic_integral([0.0, 0.0], np.diag([1.0, 4.0]))
-        parts = log_gaussian_quadratic_integral([0.0], [[1.0]]) + log_gaussian_quadratic_integral(
-            [0.0], [[4.0]]
-        )
-        assert combined == pytest.approx(parts, abs=1e-12)
-
-    def test_random_instances_match_quadrature(self):
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            lam = random_spd(rng, 2)
-            mu = rng.uniform(-1, 1, 2)
-            center = np.linalg.solve(lam, mu)
-            sds = np.sqrt(np.diag(np.linalg.inv(lam)))
-
-            def log_f(pts):
-                return pts.T @ mu - 0.5 * np.einsum("ij,jk,ik->i", pts.T, lam, pts.T)
-
-            expected = log_integral_2d(
-                log_f, center - 12 * sds, center + 12 * sds, n_nodes=200
-            )
-            got = log_gaussian_quadratic_integral(mu, lam)
-            assert abs(got - expected) < 1e-6
 
 
 class TestProductIntegral:

@@ -5,7 +5,6 @@ from _oracles import evidence_gradient_oracle, random_gp_instance
 from gpselect import (
     AscConfig,
     Criterion,
-    Dataset,
     KernelSpec,
     ObjectiveSpec,
     OptimizationFailed,
@@ -14,7 +13,6 @@ from gpselect import (
     finite_diff_gradient,
     log_evidence,
     optimize,
-    sample_partitions,
 )
 from gpselect.harness import sample_synthetic
 from gpselect.optimize import lbfgs_minimize

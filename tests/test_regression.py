@@ -10,12 +10,9 @@ from gpselect import (
     Dataset,
     DegenerateBaseline,
     GaussianDist,
-    JointGaussian,
     KernelSpec,
     KernelStructure,
-    condition,
     finite_diff_gradient,
-    joint_latent_output,
     kernel_matrix,
     log_evidence,
     loo_cv_objective,
@@ -40,27 +37,6 @@ class TestDataset:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[0.0, np.nan]]), np.zeros(2))
-
-
-class TestJointLatentOutput:
-    def test_anchor_on_data_point_cross_entry(self):
-        model = se_model(sn=0.0, sf=1.5)
-        data = Dataset([[2.0]], [0.3])
-        joint = joint_latent_output(model, [[2.0]], data)
-        assert joint.cov_bt[0, 0] == pytest.approx(1.5**2, rel=1e-13)
-
-    def test_far_anchors_decouple(self):
-        model = se_model()
-        data = Dataset([[0.0, 0.5]], [0.1, -0.2])
-        joint = joint_latent_output(model, [[30.0]], data)
-        assert np.max(np.abs(joint.cov_bt)) < 1e-12
-
-    def test_assembled_matrix_is_spd(self):
-        rng = np.random.default_rng(0)
-        model, data = random_gp_instance(rng)
-        anchor_inputs = data.X[:, :2] + 0.05
-        joint = joint_latent_output(model, anchor_inputs, data)
-        np.linalg.cholesky(joint.assembled_cov() + 1e-12 * np.eye(data.n + 2))
 
 
 class TestLogEvidence:
@@ -117,14 +93,10 @@ class TestLooCv:
             total = 0.0
             for k in range(data.n):
                 rest = np.delete(np.arange(data.n), k)
-                joint = JointGaussian(
-                    mean_top=np.zeros(1),
-                    mean_bottom=np.zeros(data.n - 1),
-                    cov_tt=cov[np.ix_([k], [k])],
-                    cov_bb=cov[np.ix_(rest, rest)],
-                    cov_bt=cov[np.ix_(rest, [k])],
-                )
-                total += condition(joint, data.y[rest]).log_density([data.y[k]])
+                gain = np.linalg.solve(cov[np.ix_(rest, rest)], cov[rest, k])
+                var = cov[k, k] - cov[rest, k] @ gain
+                mean = gain @ data.y[rest]
+                total += -0.5 * (math.log(2 * math.pi * var) + (data.y[k] - mean) ** 2 / var)
             assert loo_cv_objective(model, data) == pytest.approx(-total / data.n, abs=1e-8)
 
     def test_large_noise_decouples_folds(self):
@@ -230,16 +202,12 @@ class TestPredict:
         model, data = random_gp_instance(rng)
         xstar = rng.uniform(0, 6, (1, 3))
         pred = predict(model, data, xstar)
-        joint = JointGaussian(
-            mean_top=np.zeros(3),
-            mean_bottom=np.zeros(data.n),
-            cov_tt=noisy_kernel_matrix(model, xstar),
-            cov_bb=noisy_kernel_matrix(model, data.X),
-            cov_bt=kernel_matrix(model, data.X, xstar),
+        cross = kernel_matrix(model, data.X, xstar)
+        gain = np.linalg.solve(noisy_kernel_matrix(model, data.X), cross)
+        np.testing.assert_allclose(pred.mean, gain.T @ data.y, atol=1e-10)
+        np.testing.assert_allclose(
+            pred.cov, noisy_kernel_matrix(model, xstar) - cross.T @ gain, atol=1e-10
         )
-        cond = condition(joint, data.y)
-        np.testing.assert_allclose(pred.mean, cond.mean, atol=1e-10)
-        np.testing.assert_allclose(pred.cov, cond.cov, atol=1e-10)
 
     def test_variance_bounded_by_prior(self):
         rng = np.random.default_rng(8)
