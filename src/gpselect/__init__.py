@@ -7,8 +7,6 @@ from .criteria import (
     AscVariant,
     Partition,
     average_log_eta,
-    log_eta_bayesian,
-    log_eta_beta_noise,
     sample_partitions,
 )
 from .errors import (
@@ -76,8 +74,6 @@ __all__ = [
     "finite_diff_gradient",
     "kernel_matrix",
     "load_csv_dataset",
-    "log_eta_bayesian",
-    "log_eta_beta_noise",
     "log_evidence",
     "log_product_integral",
     "loo_cv_objective",

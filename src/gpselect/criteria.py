@@ -2,11 +2,12 @@
 
 A hyperparameter point is scored by how much the posteriors inferred from two
 random halves of the data agree at a small set of anchor inputs. Two posterior
-constructions are supported: the Bayesian posterior over the anchor latents,
-and a maximum-entropy posterior built from the likelihood alone (unit inverse
-temperature, so the noise level plays the role of the temperature). The GP
-prior has zero mean. Both lead to closed-form agreement integrals over
-products of Gaussians.
+constructions are supported: a maximum-entropy posterior built from the
+likelihood alone (unit inverse temperature, so the noise level plays the role
+of the temperature), and the Bayesian posterior over the anchor latents, which
+is that maximum-entropy posterior times the zero-mean GP prior. One routine
+builds both in information form, where multiplying by the prior adds its
+precision, and integrates their product with the prior in closed form.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from scipy.linalg import cho_solve
 from scipy.special import logsumexp
 
 from .errors import AllPartitionsFailed, InsufficientData, RankDeficient, SingularCovariance
-from .gaussian import (
-    GaussianDist,
-    chol_spd,
-    condition,
-    log_product_integral,
-    maxent_linear_map_posterior,
-)
+from .gaussian import chol_spd, log_product_integral, maxent_linear_map_posterior
 from .kernels import KernelSpec, kernel_matrix
 from .regression import Dataset
 
@@ -109,64 +104,28 @@ def sample_partitions(n: int, cfg: AscConfig) -> list[Partition]:
     return parts
 
 
-def _anchor_blocks(kernel: KernelSpec, data: Dataset, part: Partition, gram: np.ndarray | None):
-    """Anchor covariance, zero-mean anchor prior and per-half blocks of the Gram matrix."""
-    if gram is None:
-        gram = kernel_matrix(kernel, data.X, data.X)
+def _log_eta(kernel: KernelSpec, data: Dataset, part: Partition, gram, variant: AscVariant) -> float:
+    """log agreement of one partition, every component in information form.
+
+    Given the anchor latents f, half i's outputs are N(A^T f, Sigma_i) with
+    A = K_aa^-1 K_ai and Sigma_i = K_ii + sigma_n^2 I - K_ia A. Normalized
+    over f, that likelihood has precision A Sigma_i^-1 A^T and shift
+    A Sigma_i^-1 y_i; the Bayesian half posterior adds the prior precision
+    K_aa^-1. The prior itself is the third component.
+    """
     a = part.anchor_idx
-    cov_anchor = gram[np.ix_(a, a)]
-    prior = GaussianDist.from_moments(np.zeros(a.size), cov_anchor, "anchor covariance")
-    noise = kernel.noise_variance
-    halves = []
+    factor, _ = chol_spd(gram[np.ix_(a, a)], "anchor covariance")
+    prior_precision = cho_solve((factor, True), np.eye(a.size))  # K_aa^-1
+    components = []
     for idx in (part.idx1, part.idx2):
-        halves.append(
-            (
-                data.y[idx],
-                gram[np.ix_(idx, idx)] + noise * np.eye(idx.size),
-                gram[np.ix_(idx, a)],  # cross block, half points by anchors
-            )
-        )
-    return cov_anchor, prior, halves
-
-
-def _log_eta_bayesian(kernel, data, part, gram) -> float:
-    cov_anchor, prior, halves = _anchor_blocks(kernel, data, part, gram)
-    components = []
-    for y_i, cov_i, cross_i in halves:
-        factor, _ = chol_spd(cov_i, "half covariance")
-        components.append(condition(factor, cross_i, cov_anchor, y_i, "posterior covariance"))
-    components.append(prior)
+        cross = gram[np.ix_(a, idx)]  # K_ai
+        a_map = cho_solve((factor, True), cross)  # (M, n_i)
+        sigma = gram[np.ix_(idx, idx)] + kernel.noise_variance * np.eye(idx.size)
+        sigma -= cross.T @ a_map
+        lam, r = maxent_linear_map_posterior(a_map, data.y[idx], 0.5 * (sigma + sigma.T))
+        components.append((lam + prior_precision if variant is AscVariant.BAYESIAN else lam, r))
+    components.append((prior_precision, np.zeros(a.size)))
     return log_product_integral(components)
-
-
-def _log_eta_beta_noise(kernel, data, part, gram) -> float:
-    _, prior, halves = _anchor_blocks(kernel, data, part, gram)
-    components = []
-    for y_i, cov_i, cross_i in halves:
-        # A maps anchor latents to the half's output means; the likelihood of
-        # the half, viewed as a function of the anchor latents, is
-        # N(A^T f | y_i, Sigma) and normalizes to a Gaussian over f.
-        a_map = cho_solve((prior.chol, True), cross_i.T)  # (M, n_i)
-        sigma = cov_i - cross_i @ a_map
-        components.append(maxent_linear_map_posterior(a_map, y_i, 0.5 * (sigma + sigma.T)))
-    components.append(prior)
-    return log_product_integral(components)
-
-
-def log_eta_bayesian(kernel: KernelSpec, data: Dataset, part: Partition) -> float:
-    """log posterior agreement with Bayesian half-data posteriors."""
-    return _log_eta_bayesian(kernel, data, part, None)
-
-
-def log_eta_beta_noise(kernel: KernelSpec, data: Dataset, part: Partition) -> float:
-    """log posterior agreement with maximum-entropy (normalized likelihood) posteriors."""
-    return _log_eta_beta_noise(kernel, data, part, None)
-
-
-_ETA_FN = {
-    AscVariant.BAYESIAN: _log_eta_bayesian,
-    AscVariant.BETA_NOISE: _log_eta_beta_noise,
-}
 
 
 def average_log_eta(
@@ -179,22 +138,22 @@ def average_log_eta(
 
     The mean is of the agreements themselves (not their logs), computed by
     log-sum-exp over the sorted per-partition values so the result does not
-    depend on evaluation order. Raises AllPartitionsFailed only if no
-    partition survives.
+    depend on evaluation order. A partition whose factorization fails or whose
+    value is not finite counts as failed. Raises AllPartitionsFailed only if
+    no partition survives.
     """
     if not parts:
         raise ValueError("need at least one partition")
-    eta_fn = _ETA_FN[AscVariant(variant)]
+    variant = AscVariant(variant)
     gram = kernel_matrix(kernel, data.X, data.X)
     values = []
-    failed = 0
     for part in parts:
         try:
-            values.append(eta_fn(kernel, data, part, gram))
+            values.append(_log_eta(kernel, data, part, gram, variant))
         except (SingularCovariance, RankDeficient):
-            failed += 1
-    if not values:
+            values.append(np.nan)
+    ordered = np.sort([v for v in values if np.isfinite(v)])
+    if not ordered.size:
         raise AllPartitionsFailed(len(parts))
-    ordered = np.sort(np.asarray(values))
     value = float(logsumexp(ordered) - np.log(ordered.size))
-    return AscScore(value=value, n_failed=failed, n_partitions=len(parts))
+    return AscScore(value=value, n_failed=len(parts) - ordered.size, n_partitions=len(parts))

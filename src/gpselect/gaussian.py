@@ -1,7 +1,10 @@
-"""Multivariate-Gaussian algebra: densities, conditioning and closed-form integrals.
+"""Multivariate-Gaussian algebra: factorization, conditioning and closed-form integrals.
 
-Everything here works in log space; raw densities are never multiplied.
-All types are immutable after construction and safe to share across threads.
+Conditioning works in moment form (mean, covariance). The agreement integrals
+work in information form (precision Lambda, shift r = Lambda mean), in which
+products of Gaussians add and no precision is ever inverted. Everything works
+in log space; raw densities are never multiplied. All types are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ def chol_spd(mat: np.ndarray, name: str = "covariance") -> tuple[np.ndarray, np.
     jittered by 1e-10 .. 1e-6 times the mean diagonal entry, escalating x10.
     Returns ``(factor, matrix actually factored)`` so callers can keep the two
     consistent. Raises :class:`SingularCovariance` carrying the smallest
-    pivot once the jitter ladder is exhausted.
+    pivot once the jitter ladder is exhausted, or at once for a non-finite entry.
     """
     mat = np.asarray(mat, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise SingularCovariance(f"{name} has a non-finite entry")
     sym = 0.5 * (mat + mat.T)
     n = sym.shape[0]
     base = np.trace(sym) / n if n else 0.0
@@ -60,7 +65,8 @@ def _half_logdet(chol: np.ndarray) -> float:
 
 def _logpdf_dev(chol: np.ndarray, dev: np.ndarray) -> float:
     """log N(dev | 0, L L^T) from the cached factor."""
-    z = solve_triangular(chol, dev, lower=True)
+    # unchecked: a non-finite precision must give a non-finite value, not a ValueError
+    z = solve_triangular(chol, dev, lower=True, check_finite=False)
     return float(-0.5 * (dev.size * _LOG_2PI + z @ z) - _half_logdet(chol))
 
 
@@ -93,12 +99,6 @@ class GaussianDist:
     def dim(self) -> int:
         return self.mean.size
 
-    def log_density(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.dim:
-            raise ValueError(f"point has length {x.size}, expected {self.dim}")
-        return _logpdf_dev(self.chol, x - self.mean)
-
 
 def condition(factor, cross, cov_target, observed, name: str = "conditional covariance") -> GaussianDist:
     """Zero-mean Gaussian over targets given observed values (GPML eqs. 2.23-2.24).
@@ -117,37 +117,42 @@ def condition(factor, cross, cov_target, observed, name: str = "conditional cova
     return GaussianDist.from_moments(gain.T @ observed, cov, name)
 
 
-def log_product_integral(components: list[GaussianDist]) -> float:
-    """log of  integral prod_k N(x | mu_k, Sigma_k) dx.
+def _log_density_at_zero(lam, r) -> float:
+    """log N(0 | Lambda^-1 r, Lambda^-1); no jitter, which would mask a rank-deficient Lambda."""
+    try:
+        factor = np.linalg.cholesky(0.5 * (lam + lam.T))
+    except np.linalg.LinAlgError as err:
+        raise RankDeficient("precision is not positive-definite") from err
+    return _logpdf_dev(factor, r) + 2.0 * _half_logdet(factor)
 
-    The integral equals ``prod_k N(mu_k | 0, Sigma_k) / (|Lambda| N(r | 0, Lambda))``
-    with ``r = sum_k Sigma_k^{-1} mu_k`` and ``Lambda = sum_k Sigma_k^{-1}``.
+
+def log_product_integral(components) -> float:
+    """log of  integral prod_k p_k(x) dx  for Gaussians in information form.
+
+    Each component is a pair ``(Lambda_k, r_k)``, the density with precision
+    Lambda_k and mean Lambda_k^-1 r_k. The log integral is
+    ``sum_k log p_k(0) - log p_*(0)``, where p_* has precision sum_k Lambda_k
+    and shift sum_k r_k. A precision that is not positive-definite raises
+    :class:`RankDeficient`; a non-finite one yields a non-finite value.
     """
     if not components:
         raise ValueError("need at least one component")
-    n = components[0].dim
-    if any(c.dim != n for c in components):
+    n = np.size(components[0][1])
+    if any(np.shape(lam) != (n, n) or np.size(r) != n for lam, r in components):
         raise ValueError("components have mismatched dimensions")
-    eye = np.eye(n)
-    log_gamma = 0.0
-    lam = np.zeros((n, n))
-    r = np.zeros(n)
-    for c in components:
-        log_gamma += _logpdf_dev(c.chol, c.mean)
-        prec = cho_solve((c.chol, True), eye)
-        lam += 0.5 * (prec + prec.T)
-        r += cho_solve((c.chol, True), c.mean)
-    factor, _ = chol_spd(lam, "precision sum")
-    return log_gamma - 2.0 * _half_logdet(factor) - _logpdf_dev(factor, r)
+    value = sum(_log_density_at_zero(lam, r) for lam, r in components)
+    lam_sum = sum(lam for lam, _ in components)
+    r_sum = sum(r for _, r in components)
+    return value - _log_density_at_zero(lam_sum, r_sum)
 
 
-def maxent_linear_map_posterior(A, mu, sigma) -> GaussianDist:
-    """Normalize N(A^T x | mu, Sigma) as a density over x.
+def maxent_linear_map_posterior(A, mu, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Information form of N(A^T x | mu, Sigma), normalized as a density over x.
 
-    For ``A`` (m x n) of full row rank the result is
-    ``N(Lambda^{-1} r, Lambda^{-1})`` with ``r = A Sigma^{-1} mu`` and
-    ``Lambda = A Sigma^{-1} A^T``. Rank deficiency surfaces as a failed
-    factorization of Lambda and raises :class:`RankDeficient`.
+    Returns ``(Lambda, r)`` with ``Lambda = A Sigma^-1 A^T`` and
+    ``r = A Sigma^-1 mu``; the density is N(x | Lambda^-1 r, Lambda^-1). It is
+    proper only if ``A`` (m x n) has full row rank. A rank-deficient map gives a
+    singular Lambda, which :func:`log_product_integral` rejects.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     mu = np.asarray(mu, dtype=float).reshape(-1)
@@ -158,13 +163,4 @@ def maxent_linear_map_posterior(A, mu, sigma) -> GaussianDist:
         raise ValueError(f"vector length {mu.size} does not match map columns {n}")
     factor, _ = chol_spd(np.asarray(sigma, dtype=float), "noise covariance")
     w = cho_solve((factor, True), A.T)  # Sigma^{-1} A^T
-    lam = A @ w
-    r = w.T @ mu
-    # strict factorization: a jittered rescue here would mask rank deficiency
-    try:
-        lam_factor = np.linalg.cholesky(0.5 * (lam + lam.T))
-    except np.linalg.LinAlgError as err:
-        raise RankDeficient("linear map does not have full row rank") from err
-    cov = cho_solve((lam_factor, True), np.eye(m))
-    mean = cho_solve((lam_factor, True), r)
-    return GaussianDist.from_moments(mean, 0.5 * (cov + cov.T), "normalized-map covariance")
+    return A @ w, w.T @ mu

@@ -298,6 +298,41 @@ def oracle_log_eta_bayesian_2d(model, data, part) -> float:
     return log_integral_2d(log_f, lo, hi, n_nodes=400)
 
 
+def maxent_half_moments(model, data, part, which):
+    """(mean, cov) of one half's likelihood N(A^T f | y_i, Sigma_i), normalized over f.
+
+    A = K_aa^-1 K_ai and Sigma_i = K_ii + sigma_n^2 I - K_ia A, all by explicit
+    inverses.
+    """
+    idx = part.idx1 if which == 0 else part.idx2
+    anchors = data.X[:, part.anchor_idx]
+    cross = kernel_matrix(model, anchors, data.X[:, idx])  # (M, n_i)
+    a_map = np.linalg.inv(kernel_matrix(model, anchors, anchors)) @ cross
+    sigma_inv = np.linalg.inv(noisy_kernel_matrix(model, data.X[:, idx]) - cross.T @ a_map)
+    cov = np.linalg.inv(a_map @ sigma_inv @ a_map.T)
+    return cov @ a_map @ sigma_inv @ data.y[idx], 0.5 * (cov + cov.T)
+
+
+def dense_log_eta(model, data, part, bayesian: bool) -> float:
+    """log agreement of one partition in moment form, by explicit inverses.
+
+    The half posteriors over the anchor latents are :func:`half_posterior`
+    (Bayesian) or :func:`maxent_half_moments` (maximum entropy). The integral
+    of both halves times the prior then factors into two scipy densities:
+    N(m1 | m2, S1 + S2) N(m12 | 0, S12 + K_aa), where (m12, S12) are the
+    moments of the normalized product of the halves.
+    """
+    anchors = data.X[:, part.anchor_idx]
+    half = half_posterior if bayesian else maxent_half_moments
+    (m1, s1), (m2, s2) = (half(model, data, part, which) for which in (0, 1))
+    p1, p2 = np.linalg.inv(s1), np.linalg.inv(s2)
+    s12 = np.linalg.inv(p1 + p2)
+    m12 = s12 @ (p1 @ m1 + p2 @ m2)
+    prior_cov = kernel_matrix(model, anchors, anchors)
+    second = mvn_logpdf(m12, np.zeros(m12.size), 0.5 * (s12 + s12.T) + prior_cov)
+    return mvn_logpdf(m1, m2, s1 + s2) + second
+
+
 # ---------------------------------------------------------------------------
 # analytic evidence gradient (explicit-inverse trace formula)
 

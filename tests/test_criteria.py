@@ -3,9 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from _oracles import (
+    dense_log_eta,
     half_posterior,
+    maxent_half_moments,
     oracle_log_eta_bayesian_1d,
     oracle_log_eta_bayesian_2d,
     oracle_log_eta_beta_noise_1d,
@@ -22,10 +27,18 @@ from gpselect import (
     Partition,
     average_log_eta,
     kernel_matrix,
-    log_eta_bayesian,
-    log_eta_beta_noise,
+    maxent_linear_map_posterior,
+    noisy_kernel_matrix,
     sample_partitions,
+    sample_synthetic,
 )
+from gpselect import criteria
+from gpselect.harness import derived_seed
+
+
+def log_eta(model, data, part, variant=AscVariant.BAYESIAN):
+    """One partition's log agreement, which average_log_eta passes through exactly."""
+    return average_log_eta(model, data, [part], variant).value
 
 
 def random_partition(rng, n, m=1):
@@ -125,7 +138,7 @@ class TestLogEtaBayesian:
         model = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=1e6)
         data = Dataset(x, np.zeros(n))
         part = Partition([0, 1, 2], [3, 4, 5], [2])
-        got = log_eta_bayesian(model, data, part)
+        got = log_eta(model, data, part)
         assert math.exp(got) == pytest.approx(0.091888, abs=1e-6)
 
     def test_swap_halves_invariant(self):
@@ -133,14 +146,14 @@ class TestLogEtaBayesian:
         model, data = random_gp_instance(rng)
         part = random_partition(rng, data.n)
         assert abs(
-            log_eta_bayesian(model, data, part) - log_eta_bayesian(model, data, swap(part))
+            log_eta(model, data, part) - log_eta(model, data, swap(part))
         ) < 1e-10
 
     def test_within_half_permutation_invariant(self):
         rng = np.random.default_rng(11)
         model, data = random_gp_instance(rng)
         part = random_partition(rng, data.n)
-        base = log_eta_bayesian(model, data, part)
+        base = log_eta(model, data, part)
         # permute the data points and remap every index set accordingly
         perm = rng.permutation(data.n)
         inverse = np.empty(data.n, dtype=int)
@@ -149,36 +162,39 @@ class TestLogEtaBayesian:
         remapped = Partition(
             np.sort(inverse[part.idx1]), np.sort(inverse[part.idx2]), np.sort(inverse[part.anchor_idx])
         )
-        assert abs(log_eta_bayesian(model, permuted, remapped) - base) < 1e-10
+        assert abs(log_eta(model, permuted, remapped) - base) < 1e-10
 
     def test_matches_quadrature_m1(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
             model, data = random_gp_instance(rng)
             part = random_partition(rng, data.n)
-            got = log_eta_bayesian(model, data, part)
+            got = log_eta(model, data, part)
             assert abs(got - oracle_log_eta_bayesian_1d(model, data, part)) < 1e-6
 
     def test_matches_tensor_quadrature_m2(self):
         rng = np.random.default_rng(13)
         model, data, part = dense_m2_instance(rng)
-        got = log_eta_bayesian(model, data, part)
+        got = log_eta(model, data, part)
         assert abs(got - oracle_log_eta_bayesian_2d(model, data, part)) < 1e-4
 
     def test_posterior_covariance_matches_conditioning(self):
-        # the half-data posterior blocks must agree with generic conditioning
+        # the Bayesian half posterior is the normalized half likelihood times
+        # the prior: adding K_aa^-1 to its precision gives the conditioning oracle
         rng = np.random.default_rng(14)
         model, data = random_gp_instance(rng)
         part = random_partition(rng, data.n, m=2)
-        from gpselect.criteria import _anchor_blocks
-        from gpselect.gaussian import chol_spd, condition
-
-        cov_anchor, _, halves = _anchor_blocks(model, data, part, None)
-        for which, (y_i, cov_i, cross_i) in enumerate(halves):
-            post = condition(chol_spd(cov_i)[0], cross_i, cov_anchor, y_i)
-            mean, cov = half_posterior(model, data, part, which)
-            np.testing.assert_allclose(post.cov, cov, atol=1e-10)
-            np.testing.assert_allclose(post.mean, mean, atol=1e-10)
+        anchors = data.X[:, part.anchor_idx]
+        prior_precision = np.linalg.inv(kernel_matrix(model, anchors, anchors))
+        for which, idx in enumerate((part.idx1, part.idx2)):
+            cross = kernel_matrix(model, anchors, data.X[:, idx])
+            a_map = prior_precision @ cross
+            sigma = noisy_kernel_matrix(model, data.X[:, idx]) - cross.T @ a_map
+            lam, r = maxent_linear_map_posterior(a_map, data.y[idx], 0.5 * (sigma + sigma.T))
+            cov = np.linalg.inv(prior_precision + lam)
+            mean, expected_cov = half_posterior(model, data, part, which)
+            np.testing.assert_allclose(cov, expected_cov, atol=1e-10)
+            np.testing.assert_allclose(cov @ r, mean, atol=1e-10)
 
 
 class TestLogEtaBetaNoise:
@@ -186,22 +202,21 @@ class TestLogEtaBetaNoise:
         rng = np.random.default_rng(20)
         model, data = random_gp_instance(rng)
         part = random_partition(rng, data.n)
-        assert abs(
-            log_eta_beta_noise(model, data, part) - log_eta_beta_noise(model, data, swap(part))
-        ) < 1e-10
+        forward = log_eta(model, data, part, AscVariant.BETA_NOISE)
+        assert abs(forward - log_eta(model, data, swap(part), AscVariant.BETA_NOISE)) < 1e-10
 
     def test_matches_quadrature_m1(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
             model, data = random_gp_instance(rng)
             part = random_partition(rng, data.n)
-            got = log_eta_beta_noise(model, data, part)
+            got = log_eta(model, data, part, AscVariant.BETA_NOISE)
             assert abs(got - oracle_log_eta_beta_noise_1d(model, data, part)) < 1e-6
 
     def test_matches_tensor_quadrature_m2(self):
         rng = np.random.default_rng(22)
         model, data, part = dense_m2_instance(rng)
-        got = log_eta_beta_noise(model, data, part)
+        got = log_eta(model, data, part, AscVariant.BETA_NOISE)
         assert abs(got - oracle_log_eta_beta_noise_2d(model, data, part)) < 1e-4
 
 
@@ -231,7 +246,7 @@ class TestSigmaDirectionalSanity:
                 model = KernelSpec.create("se", lengthscale=ell, signal=1.0, noise=sn)
                 means = [float(half_posterior(model, data, part, w)[0][0]) for w in (0, 1)]
                 agrees = abs(means[0] - means[1]) < 1e-3
-                value = log_eta_bayesian(model, data, part)
+                value = log_eta(model, data, part)
                 if previous is not None and agrees and previous[1]:
                     assert value >= previous[0] - 1e-8
                     checked += 1
@@ -244,15 +259,17 @@ class TestAverageLogEta:
         rng = np.random.default_rng(40)
         model, data = random_gp_instance(rng)
         part = random_partition(rng, data.n)
-        score = average_log_eta(model, data, [part], AscVariant.BAYESIAN)
-        assert score.value == pytest.approx(log_eta_bayesian(model, data, part), abs=1e-12)
-        assert score.n_failed == 0
+        gram = kernel_matrix(model, data.X, data.X)
+        for variant in AscVariant:
+            score = average_log_eta(model, data, [part], variant)
+            assert score.value == criteria._log_eta(model, data, part, gram, variant)
+            assert score.n_failed == 0
 
     def test_identical_partitions_average_to_common_value(self):
         rng = np.random.default_rng(41)
         model, data = random_gp_instance(rng)
         part = random_partition(rng, data.n)
-        single = log_eta_bayesian(model, data, part)
+        single = log_eta(model, data, part)
         score = average_log_eta(model, data, [part] * 5, AscVariant.BAYESIAN)
         assert score.value == pytest.approx(single, abs=1e-12)
 
@@ -260,7 +277,7 @@ class TestAverageLogEta:
         rng = np.random.default_rng(42)
         model, data = random_gp_instance(rng, n_lo=10, n_hi=12)
         parts = [random_partition(rng, data.n) for _ in range(16)]
-        values = [log_eta_bayesian(model, data, p) for p in parts]
+        values = [log_eta(model, data, p) for p in parts]
         score = average_log_eta(model, data, parts, AscVariant.BAYESIAN)
         with mpmath.workdps(60):
             mean = mpmath.fsum(mpmath.e**v for v in values) / len(values)
@@ -289,3 +306,52 @@ class TestAverageLogEta:
             assert 0.0 <= score.failed_fraction <= 1.0
             if score.n_failed < 16:
                 assert np.isfinite(score.value)
+
+    def test_non_finite_partition_counts_as_failed(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        model, data = random_gp_instance(rng)
+        parts = [random_partition(rng, data.n) for _ in range(3)]
+        values = [log_eta(model, data, p) for p in parts]
+        real = criteria._log_eta
+
+        def nan_for_second(kernel, data_, part, gram, variant):
+            return np.nan if part is parts[1] else real(kernel, data_, part, gram, variant)
+
+        monkeypatch.setattr(criteria, "_log_eta", nan_for_second)
+        score = average_log_eta(model, data, parts, AscVariant.BAYESIAN)
+        assert score.n_failed == 1
+        expected = logsumexp(np.sort([values[0], values[2]])) - np.log(2.0)
+        assert score.value == pytest.approx(float(expected), abs=1e-12)
+
+    def test_far_anchor_partitions_fail_without_abort(self):
+        # the point a bnasc fit of synth seed 12 reaches: in partition 5 an
+        # anchor has no point of the other half within reach, so its row of
+        # the map is ~1e-160 and the half precision ~1e-320
+        teacher = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.1)
+        train, _ = sample_synthetic(teacher, 64, 256, seed=12)
+        x = train.X  # standardized as load_csv_dataset does
+        data = Dataset((x - x.mean(axis=1)[:, None]) / x.std(axis=1)[:, None], train.y)
+        parts = sample_partitions(64, AscConfig(M=2, J=32, seed=derived_seed(0, 1)))
+        theta = np.array([-5.226861461507027, 3.3879044801709925, -1.5127458863693015])
+        score = average_log_eta(teacher.with_theta(theta), data, parts, AscVariant.BETA_NOISE)
+        assert score.n_failed == 3
+        assert np.isfinite(score.value)
+
+
+class TestDenseReference:
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_both_variants_match_explicit_inverses(self, seed, m):
+        rng = np.random.default_rng(seed)
+        model, data = random_gp_instance(rng)
+        part = random_partition(rng, data.n, m)
+        anchors = data.X[:, part.anchor_idx]
+        assume(np.linalg.cond(kernel_matrix(model, anchors, anchors)) < 1e3)
+        # a half likelihood that barely informs some anchor direction (an exp
+        # kernel's Markov property can make it exactly uninformative) leaves
+        # both routes round-off dominated
+        for which in (0, 1):
+            assume(np.linalg.cond(maxent_half_moments(model, data, part, which)[1]) < 1e8)
+        for variant in AscVariant:
+            expected = dense_log_eta(model, data, part, variant is AscVariant.BAYESIAN)
+            assert log_eta(model, data, part, variant) == pytest.approx(expected, abs=1e-9)

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from _oracles import (
-    gauss_legendre_axis,
     log_integral_1d,
     log_integral_2d,
     mvn_logpdf,
+    normal_logpdf,
     random_spd,
 )
 from gpselect import (
@@ -24,57 +23,20 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 def std_normal(n=1):
-    return GaussianDist.from_moments(np.zeros(n), np.eye(n))
+    """(precision, shift) of the standard normal in n dimensions."""
+    return np.eye(n), np.zeros(n)
 
 
-class TestLogDensity:
-    def test_standard_normal_at_origin(self):
-        assert std_normal().log_density([0.0]) == pytest.approx(-0.5 * LOG_2PI, abs=1e-12)
-
-    def test_two_dim_product_of_one_dim(self):
-        assert std_normal(2).log_density([0.0, 0.0]) == pytest.approx(-LOG_2PI, abs=1e-12)
-
-    def test_matches_scalar_formula(self):
-        # brute-force evaluation with explicit inverse
-        mean, var, x = 1.0, 4.0, 3.0
-        expected = -0.5 * (x - mean) ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
-        d = GaussianDist.from_moments([mean], [[var]])
-        assert d.log_density([x]) == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            std_normal(2).log_density([0.0])
-
-    def test_chol_reconstructs_cov(self):
-        rng = np.random.default_rng(1)
-        cov = random_spd(rng, 4)
-        d = GaussianDist.from_moments(np.zeros(4), cov)
-        np.testing.assert_allclose(d.chol @ d.chol.T, d.cov, rtol=1e-8)
-        assert np.all(np.diag(d.chol) > 0)
-
-    def test_density_integrates_to_one_1d_and_2d(self):
-        rng = np.random.default_rng(2)
-        for n in (1, 2):
-            mean = rng.uniform(-1, 1, n)
-            d = GaussianDist.from_moments(mean, random_spd(rng, n))
-            sds = np.sqrt(np.diag(d.cov))
-            if n == 1:
-                value, _ = quad(
-                    lambda t: math.exp(d.log_density([t])),
-                    mean[0] - 10 * sds[0],
-                    mean[0] + 10 * sds[0],
-                )
-            else:
-                lo = mean - 10 * sds
-                hi = mean + 10 * sds
-                x1, w1 = gauss_legendre_axis(lo[0], hi[0], 200)
-                x2, w2 = gauss_legendre_axis(lo[1], hi[1], 200)
-                value = sum(
-                    wa * wb * math.exp(d.log_density([a, b]))
-                    for a, wa in zip(x1, w1)
-                    for b, wb in zip(x2, w2)
-                )
-            assert value == pytest.approx(1.0, abs=1e-6)
+class TestCholSpd:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_singular(self, bad):
+        # np.linalg.cholesky returns NaN for a NaN input instead of raising
+        mat = np.eye(2)
+        mat[1, 0] = mat[0, 1] = bad
+        with pytest.raises(SingularCovariance):
+            chol_spd(mat)
+        with pytest.raises(SingularCovariance):
+            chol_spd(np.array([[bad]]))
 
 
 class TestCondition:
@@ -102,7 +64,8 @@ class TestCondition:
         for _ in range(5):
             t = rng.uniform(-2, 2, m)
             log_joint = mvn_logpdf(np.concatenate([t, obs]), np.zeros(m + n), full)
-            assert cond.log_density(t) == pytest.approx(log_joint - log_marg, abs=1e-8)
+            got = mvn_logpdf(t, cond.mean, cond.cov)
+            assert got == pytest.approx(log_joint - log_marg, abs=1e-8)
 
     def test_singular_bottom_block_raises_with_pivot(self):
         # callers factor the observed block with chol_spd before conditioning
@@ -113,10 +76,16 @@ class TestCondition:
         assert excinfo.value.smallest_pivot < 0
 
 
+def info_form(mean, cov):
+    """(precision, shift) of N(mean, cov) by explicit inverse."""
+    precision = np.linalg.inv(cov)
+    return precision, precision @ np.asarray(mean, dtype=float)
+
+
 class TestProductIntegral:
     def test_single_component_integrates_to_one(self):
         rng = np.random.default_rng(7)
-        comp = GaussianDist.from_moments(rng.uniform(-1, 1, 3), random_spd(rng, 3))
+        comp = info_form(rng.uniform(-1, 1, 3), random_spd(rng, 3))
         assert log_product_integral([comp]) == pytest.approx(0.0, abs=1e-10)
 
     def test_two_standard_normals(self):
@@ -139,43 +108,54 @@ class TestProductIntegral:
         rng = np.random.default_rng(9)
         for _ in range(5):
             k = int(rng.integers(2, 4))
-            comps = [
-                GaussianDist.from_moments(rng.uniform(-1.5, 1.5, 1), random_spd(rng, 1))
-                for _ in range(k)
+            moments = [
+                (float(rng.uniform(-1.5, 1.5)), float(random_spd(rng, 1)[0, 0])) for _ in range(k)
             ]
 
             def log_f(f):
-                return float(sum(c.log_density([f]) for c in comps))
+                return float(sum(normal_logpdf(f, m, v) for m, v in moments))
 
-            lo = min(c.mean[0] - 12 * math.sqrt(c.cov[0, 0]) for c in comps)
-            hi = max(c.mean[0] + 12 * math.sqrt(c.cov[0, 0]) for c in comps)
+            lo = min(m - 12 * math.sqrt(v) for m, v in moments)
+            hi = max(m + 12 * math.sqrt(v) for m, v in moments)
             expected = log_integral_1d(log_f, lo, hi)
+            comps = [info_form([m], [[v]]) for m, v in moments]
             assert abs(log_product_integral(comps) - expected) < 1e-6
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             log_product_integral([])
 
+    def test_non_finite_precision_gives_non_finite_value(self):
+        # counted as a failed partition by average_log_eta, not raised
+        assert not np.isfinite(log_product_integral([(np.array([[np.nan]]), np.zeros(1))]))
+
+    def test_mismatched_dimensions_rejected(self):
+        with pytest.raises(ValueError):
+            log_product_integral([std_normal(1), std_normal(2)])
+
 
 class TestMaxentLinearMap:
     def test_identity_map(self):
         rng = np.random.default_rng(10)
         mu = rng.uniform(-1, 1, 3)
-        post = maxent_linear_map_posterior(np.eye(3), mu, np.eye(3))
-        np.testing.assert_allclose(post.mean, mu, atol=1e-12)
-        np.testing.assert_allclose(post.cov, np.eye(3), atol=1e-12)
+        lam, r = maxent_linear_map_posterior(np.eye(3), mu, np.eye(3))
+        np.testing.assert_allclose(lam, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(r, mu, atol=1e-12)
 
     def test_scalar_map(self):
-        post = maxent_linear_map_posterior([[2.0]], [4.0], [[1.0]])
-        assert post.mean[0] == pytest.approx(2.0, abs=1e-13)
-        assert post.cov[0, 0] == pytest.approx(0.25, abs=1e-13)
+        # N(2x | 4, 1) normalizes to N(x | 2, 1/4): precision 4, shift 4 * 2
+        lam, r = maxent_linear_map_posterior([[2.0]], [4.0], [[1.0]])
+        assert lam[0, 0] == pytest.approx(4.0, abs=1e-13)
+        assert r[0] == pytest.approx(8.0, abs=1e-13)
 
     def test_wide_map_matches_normalized_density(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((2, 5))
         mu = rng.uniform(-1, 1, 5)
         sigma = random_spd(rng, 5)
-        post = maxent_linear_map_posterior(a, mu, sigma)
+        lam, r = maxent_linear_map_posterior(a, mu, sigma)
+        cov = np.linalg.inv(lam)
+        mean = cov @ r
 
         def log_unnorm(pts):
             devs = a.T @ pts - mu[:, None]
@@ -184,22 +164,13 @@ class TestMaxentLinearMap:
             _, logdet = np.linalg.slogdet(sigma)
             return -0.5 * (5 * LOG_2PI + logdet + quad_forms)
 
-        sds = np.sqrt(np.diag(post.cov))
-        lo = post.mean - 10 * sds
-        hi = post.mean + 10 * sds
-        log_z = log_integral_2d(log_unnorm, lo, hi, n_nodes=240)
-        # normalized density integrates to 1 and matches pointwise
-        total = log_integral_2d(
-            lambda pts: np.array([post.log_density(pts[:, g]) for g in range(pts.shape[1])]),
-            lo,
-            hi,
-            n_nodes=240,
-        )
-        assert total == pytest.approx(0.0, abs=1e-8)
+        sds = np.sqrt(np.diag(cov))
+        log_z = log_integral_2d(log_unnorm, mean - 10 * sds, mean + 10 * sds, n_nodes=240)
+        # the normalized likelihood matches N(mean, cov) pointwise
         for _ in range(5):
-            x = post.mean + rng.uniform(-2, 2, 2) * sds
+            x = mean + rng.uniform(-2, 2, 2) * sds
             expected = float(log_unnorm(x[:, None])[0]) - log_z
-            assert post.log_density(x) == pytest.approx(expected, abs=1e-6)
+            assert mvn_logpdf(x, mean, cov) == pytest.approx(expected, abs=1e-6)
 
     def test_output_covariance_is_spd(self):
         rng = np.random.default_rng(12)
@@ -207,8 +178,8 @@ class TestMaxentLinearMap:
             n = int(rng.integers(2, 6))
             m = int(rng.integers(1, n + 1))
             a = rng.standard_normal((m, n))
-            post = maxent_linear_map_posterior(a, rng.uniform(-1, 1, n), random_spd(rng, n))
-            np.linalg.cholesky(post.cov)  # raises if not SPD
+            lam, _ = maxent_linear_map_posterior(a, rng.uniform(-1, 1, n), random_spd(rng, n))
+            np.linalg.cholesky(np.linalg.inv(lam))  # raises if not SPD
 
     def test_too_many_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -216,8 +187,9 @@ class TestMaxentLinearMap:
 
     def test_rank_deficient_map_raises(self):
         a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) * 1e8  # rank 1, jitter cannot mask
+        lam, r = maxent_linear_map_posterior(a, np.zeros(3), np.eye(3))
         with pytest.raises(RankDeficient):
-            maxent_linear_map_posterior(a, np.zeros(3), np.eye(3))
+            log_product_integral([(lam, r)])
 
 
 class TestGaussianDistValidation:
@@ -234,6 +206,13 @@ class TestGaussianDistValidation:
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(SingularCovariance):
             GaussianDist.from_moments(np.zeros(2), cov)
+
+    def test_chol_reconstructs_cov(self):
+        rng = np.random.default_rng(1)
+        cov = random_spd(rng, 4)
+        d = GaussianDist.from_moments(np.zeros(4), cov)
+        np.testing.assert_allclose(d.chol @ d.chol.T, d.cov, rtol=1e-8)
+        assert np.all(np.diag(d.chol) > 0)
 
     def test_near_singular_rescued_by_jitter(self):
         # rank-1 plus a sliver of diagonal: jitter ladder should rescue it
