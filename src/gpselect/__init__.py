@@ -4,7 +4,7 @@ posterior-agreement model selection."""
 from .criteria import (
     AscConfig,
     AscScore,
-    AscVariant,
+    Criterion,
     Partition,
     average_log_eta,
     sample_partitions,
@@ -35,21 +35,13 @@ from .harness import (
     sample_synthetic,
 )
 from .kernels import KernelSpec, KernelStructure, kernel_matrix, noisy_kernel_matrix
-from .optimize import (
-    Criterion,
-    ObjectiveSpec,
-    OptResult,
-    evaluate_criterion,
-    finite_diff_gradient,
-    optimize,
-)
+from .optimize import OptResult, evaluate_criterion, finite_diff_gradient, optimize
 from .regression import Dataset, log_evidence, loo_cv_objective, msll, predict
 
 __all__ = [
     "AllPartitionsFailed",
     "AscConfig",
     "AscScore",
-    "AscVariant",
     "Criterion",
     "Dataset",
     "DegenerateBaseline",
@@ -60,7 +52,6 @@ __all__ = [
     "InsufficientData",
     "KernelSpec",
     "KernelStructure",
-    "ObjectiveSpec",
     "OptResult",
     "OptimizationFailed",
     "Partition",

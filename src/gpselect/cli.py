@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import AscConfig
+from .criteria import AscConfig, Criterion, sample_partitions
 from .errors import EmptyData, GpSelectError, OptimizationFailed, SchemaError
 from .gaussian import GaussianDist
 from .harness import (
@@ -30,11 +30,12 @@ from .harness import (
     write_report,
 )
 from .kernels import KernelSpec, KernelStructure
-from .optimize import Criterion, ObjectiveSpec, optimize
+from .optimize import optimize
 from .regression import Dataset, msll, predict
 
 _KERNEL_CHOICES = [k.value for k in KernelStructure]
 _CRITERION_CHOICES = [c.value for c in Criterion]
+_FIT_CRITERION_CHOICES = [c.value for c in Criterion if not c.is_asc]
 
 
 class UsageError(Exception):
@@ -120,12 +121,13 @@ def cmd_fit(args) -> int:
     criterion = Criterion(args.criterion)
     if args.restarts < 1:
         raise UsageError("--restarts must be at least 1")
-    asc = None
-    if criterion in (Criterion.BAYESIAN_ASC, Criterion.BETA_NOISE_ASC):
+    asc = parts = None
+    if criterion.is_asc:
         try:
             asc = AscConfig(M=args.M, J=args.J, seed=derived_seed(seed, 1))
         except ValueError as err:
             raise UsageError(str(err)) from err
+        parts = sample_partitions(train.n, asc)
     template = kernel_template(args.kernel)
     report = {
         "command": "fit",
@@ -146,7 +148,7 @@ def cmd_fit(args) -> int:
         "versions": package_versions(),
     }
     try:
-        result = optimize(ObjectiveSpec(criterion, asc), template, train, args.restarts, seed)
+        result = optimize(criterion, template, train, args.restarts, seed, parts)
     except OptimizationFailed as err:
         report["error"] = str(err)
         if args.out:
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-col", default="y")
     p.add_argument("--students", default="se,rq,exp,per")
     p.add_argument("--criteria", default="evidence,loo,basc,bnasc")
-    p.add_argument("--fit-criterion", choices=["evidence", "loo"], default="evidence")
+    p.add_argument("--fit-criterion", choices=_FIT_CRITERION_CHOICES, default="evidence")
     p.add_argument("--replicates", type=int, default=16)
     p.add_argument("--n-train", type=int, default=64)
     p.add_argument("--n-test", type=int, default=256)
@@ -381,3 +383,7 @@ def main(argv=None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

@@ -1,13 +1,15 @@
-"""Posterior-agreement selection criteria.
+"""Selection criteria, and the posterior-agreement ones in full.
 
-A hyperparameter point is scored by how much the posteriors inferred from two
-random halves of the data agree at a small set of anchor inputs. Two posterior
-constructions are supported: a maximum-entropy posterior built from the
+``Criterion`` is the one description of the four criteria: its report name,
+which way it points and whether it needs partitions. An agreement (ASC)
+criterion scores a hyperparameter point by how much the posteriors inferred
+from two random halves of the data agree at a small set of anchor inputs.
+The beta-noise variant uses a maximum-entropy posterior built from the
 likelihood alone (unit inverse temperature, so the noise level plays the role
-of the temperature), and the Bayesian posterior over the anchor latents, which
-is that maximum-entropy posterior times the zero-mean GP prior. One routine
-builds both in information form, where multiplying by the prior adds its
-precision, and integrates their product with the prior in closed form.
+of the temperature); the Bayesian variant multiplies it by the zero-mean GP
+prior. One routine builds both in information form, where multiplying by the
+prior adds its precision, and integrates their product with the prior in
+closed form.
 """
 
 from __future__ import annotations
@@ -25,9 +27,21 @@ from .kernels import KernelSpec, kernel_matrix
 from .regression import Dataset
 
 
-class AscVariant(str, Enum):
-    BAYESIAN = "bayesian"
-    BETA_NOISE = "beta_noise"
+class Criterion(str, Enum):
+    EVIDENCE = "evidence"
+    LOO = "loo"
+    BAYESIAN_ASC = "basc"
+    BETA_NOISE_ASC = "bnasc"
+
+    @property
+    def direction(self) -> float:
+        """+1.0 where larger values are better; -1.0 for the LOO loss."""
+        return -1.0 if self is Criterion.LOO else 1.0
+
+    @property
+    def is_asc(self) -> bool:
+        """Whether this is an agreement criterion, which needs partitions."""
+        return self in (Criterion.BAYESIAN_ASC, Criterion.BETA_NOISE_ASC)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +118,7 @@ def sample_partitions(n: int, cfg: AscConfig) -> list[Partition]:
     return parts
 
 
-def _log_eta(kernel: KernelSpec, data: Dataset, part: Partition, gram, variant: AscVariant) -> float:
+def _log_eta(kernel: KernelSpec, data: Dataset, part: Partition, gram, bayesian: bool) -> float:
     """log agreement of one partition, every component in information form.
 
     Given the anchor latents f, half i's outputs are N(A^T f, Sigma_i) with
@@ -123,7 +137,7 @@ def _log_eta(kernel: KernelSpec, data: Dataset, part: Partition, gram, variant: 
         sigma = gram[np.ix_(idx, idx)] + kernel.noise_variance * np.eye(idx.size)
         sigma -= cross.T @ a_map
         lam, r = maxent_linear_map_posterior(a_map, data.y[idx], 0.5 * (sigma + sigma.T))
-        components.append((lam + prior_precision if variant is AscVariant.BAYESIAN else lam, r))
+        components.append((lam + prior_precision if bayesian else lam, r))
     components.append((prior_precision, np.zeros(a.size)))
     return log_product_integral(components)
 
@@ -132,7 +146,7 @@ def average_log_eta(
     kernel: KernelSpec,
     data: Dataset,
     parts: list[Partition],
-    variant: AscVariant,
+    criterion: Criterion,
 ) -> AscScore:
     """log of the mean agreement over partitions, skipping numerical failures.
 
@@ -142,14 +156,17 @@ def average_log_eta(
     value is not finite counts as failed. Raises AllPartitionsFailed only if
     no partition survives.
     """
+    criterion = Criterion(criterion)
+    if not criterion.is_asc:
+        raise ValueError(f"{criterion.value} is not an agreement criterion")
     if not parts:
         raise ValueError("need at least one partition")
-    variant = AscVariant(variant)
+    bayesian = criterion is Criterion.BAYESIAN_ASC
     gram = kernel_matrix(kernel, data.X, data.X)
     values = []
     for part in parts:
         try:
-            values.append(_log_eta(kernel, data, part, gram, variant))
+            values.append(_log_eta(kernel, data, part, gram, bayesian))
         except (SingularCovariance, RankDeficient):
             values.append(np.nan)
     ordered = np.sort([v for v in values if np.isfinite(v)])

@@ -18,17 +18,17 @@ from importlib import metadata
 import numpy as np
 from scipy.stats import rankdata
 
-from .criteria import AscConfig, sample_partitions
+from .criteria import AscConfig, Criterion, sample_partitions
 from .errors import EmptyData, GpSelectError, OptimizationFailed, SchemaError
 from .gaussian import chol_spd
 from .kernels import PARAM_NAMES, KernelSpec, KernelStructure, kernel_matrix
-from .optimize import Criterion, ObjectiveSpec, criterion_direction, evaluate_criterion, optimize
+from .optimize import evaluate_criterion, optimize
 from .regression import Dataset, msll, predict
 
 MSLL_COLUMN = "msll"
 
 # Ranking columns where a larger score is better.
-_HIGHER_BETTER = {c.value: criterion_direction(c) > 0 for c in Criterion} | {MSLL_COLUMN: False}
+_HIGHER_BETTER = {c.value: c.direction > 0 for c in Criterion} | {MSLL_COLUMN: False}
 
 
 def derived_seed(master: int, *key: int) -> int:
@@ -75,7 +75,7 @@ class ExperimentConfig:
             raise ValueError("need at least one optimizer restart")
         if self.n_train < 2 * self.asc.M:
             raise ValueError(f"n_train={self.n_train} too small for M={self.asc.M}")
-        if self.fit_criterion not in (Criterion.EVIDENCE, Criterion.LOO):
+        if self.fit_criterion.is_asc:
             raise ValueError("hyperparameters are fitted by evidence or leave-one-out only")
         if (self.teacher is None) == (self.data is None):
             raise ValueError("exactly one of teacher (synthetic) or data (real) must be set")
@@ -154,13 +154,7 @@ def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=Non
         name = structure.value
         template = kernel_template(structure)
         try:
-            fit = optimize(
-                ObjectiveSpec(cfg.fit_criterion),
-                template,
-                train,
-                cfg.restarts,
-                derived_seed(base, 2, si),
-            )
+            fit = optimize(cfg.fit_criterion, template, train, cfg.restarts, derived_seed(base, 2, si))
         except OptimizationFailed:
             failures.append(name)
             for col in cfg.columns:

@@ -137,29 +137,37 @@ def gram_partials(spec: KernelSpec, sq: np.ndarray, gram: np.ndarray) -> list[np
     """dK/d log(param) for each kernel parameter, in ``log_params`` order.
 
     ``gram`` must be ``gram_from_sq_dists(spec, sq)``; the noise term is not
-    included.
+    included. Where ``gram`` underflowed to 0, a factor that overflowed would
+    make the product NaN; there the partial is its exact limit, 0.
     """
     params = np.exp(spec.log_params)
-    if spec.structure is KernelStructure.SQUARED_EXPONENTIAL:
-        ell, _ = params
-        return [gram * (sq / ell**2), 2.0 * gram]
-    if spec.structure is KernelStructure.RATIONAL_QUADRATIC:
-        ell, _, alpha = params
-        u = sq / (2.0 * alpha * ell**2)
-        ratio = u / (1.0 + u)
-        return [gram * (2.0 * alpha * ratio), 2.0 * gram, gram * (alpha * (ratio - np.log1p(u)))]
-    if spec.structure is KernelStructure.EXPONENTIAL:
-        ell, _ = params
-        return [gram * (np.sqrt(sq) / ell), 2.0 * gram]
-    if spec.structure is KernelStructure.PERIODIC:
-        ell, period, _ = params
-        angle = np.pi * np.sqrt(sq) / period
-        return [
-            gram * (4.0 * np.sin(angle) ** 2 / ell**2),
-            gram * ((2.0 * angle / ell**2) * np.sin(2.0 * angle)),
-            2.0 * gram,
-        ]
-    raise ValueError(f"unknown kernel structure {spec.structure!r}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if spec.structure is KernelStructure.SQUARED_EXPONENTIAL:
+            ell, _ = params
+            partials = [gram * (sq / ell**2), 2.0 * gram]
+        elif spec.structure is KernelStructure.RATIONAL_QUADRATIC:
+            ell, _, alpha = params
+            u = sq / (2.0 * alpha * ell**2)
+            ratio = u / (1.0 + u)
+            partials = [gram * (2.0 * alpha * ratio), 2.0 * gram, gram * (alpha * (ratio - np.log1p(u)))]
+        elif spec.structure is KernelStructure.EXPONENTIAL:
+            ell, _ = params
+            partials = [gram * (np.sqrt(sq) / ell), 2.0 * gram]
+        elif spec.structure is KernelStructure.PERIODIC:
+            ell, period, _ = params
+            angle = np.pi * np.sqrt(sq) / period
+            partials = [
+                gram * (4.0 * np.sin(angle) ** 2 / ell**2),
+                gram * ((2.0 * angle / ell**2) * np.sin(2.0 * angle)),
+                2.0 * gram,
+            ]
+        else:
+            raise ValueError(f"unknown kernel structure {spec.structure!r}")
+    for partial in partials:
+        nan = np.isnan(partial)
+        if nan.any():
+            partial[nan & (gram == 0.0)] = 0.0
+    return partials
 
 
 def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:

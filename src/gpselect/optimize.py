@@ -1,8 +1,10 @@
 """Limited-memory quasi-Newton maximization of the selection criteria.
 
-The evidence and leave-one-out fits use exact gradients computed from the
-same factorization as the value; the agreement criteria use central finite
-differences. Failed evaluations (singular covariances, all partitions failed)
+``optimize`` fits a kernel under one ``Criterion``. The evidence and
+leave-one-out fits use exact gradients computed from the same factorization
+as the value; the agreement criteria, over partitions the caller samples, use
+central finite differences. ``lbfgs_minimize`` always takes a gradient
+function. Failed evaluations (singular covariances, all partitions failed)
 act as an infinite penalty that the line search backs away from.
 """
 
@@ -10,11 +12,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .criteria import AscConfig, AscScore, AscVariant, average_log_eta, sample_partitions
+from .criteria import AscScore, Criterion, average_log_eta
 from .errors import AllPartitionsFailed, OptimizationFailed, RankDeficient, SingularCovariance
 from .kernels import KernelSpec
 from .regression import (
@@ -30,45 +31,12 @@ _NUMERICAL_FAILURES = (SingularCovariance, RankDeficient, AllPartitionsFailed)
 # Any |theta| beyond this would overflow/underflow exp(); treat as failed.
 _THETA_BOUND = 300.0
 
-
-class Criterion(str, Enum):
-    EVIDENCE = "evidence"
-    LOO = "loo"
-    BAYESIAN_ASC = "basc"
-    BETA_NOISE_ASC = "bnasc"
-
-
-_ASC_VARIANTS = {
-    Criterion.BAYESIAN_ASC: AscVariant.BAYESIAN,
-    Criterion.BETA_NOISE_ASC: AscVariant.BETA_NOISE,
-}
-
-# +1: larger is better (maximize); -1: smaller is better (minimize).
-_DIRECTION = {
-    Criterion.EVIDENCE: 1.0,
-    Criterion.LOO: -1.0,
-    Criterion.BAYESIAN_ASC: 1.0,
-    Criterion.BETA_NOISE_ASC: 1.0,
-}
-
-
-def criterion_direction(criterion: Criterion) -> float:
-    return _DIRECTION[Criterion(criterion)]
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    criterion: Criterion
-    asc_config: AscConfig | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "criterion", Criterion(self.criterion))
-        if self.criterion in _ASC_VARIANTS and self.asc_config is None:
-            raise ValueError(f"criterion {self.criterion.value} requires an AscConfig")
-
-    @property
-    def direction(self) -> float:
-        return criterion_direction(self.criterion)
+# L-BFGS memory length, gradient infinity-norm tolerance, and the relative
+# objective change over a window of iterations that counts as a stall.
+_HISTORY = 10
+_GTOL = 1e-5
+_STALL_RTOL = 1e-9
+_STALL_WINDOW = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,21 +59,17 @@ def evaluate_criterion(
         return log_evidence(kernel, data), None
     if criterion is Criterion.LOO:
         return loo_cv_objective(kernel, data), None
-    if parts is None:
-        raise ValueError("agreement criteria need a list of partitions")
-    score = average_log_eta(kernel, data, parts, _ASC_VARIANTS[criterion])
+    score = average_log_eta(kernel, data, parts, criterion)
     return score.value, score
 
 
-def finite_diff_gradient(f, theta, h_rel: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+def finite_diff_gradient(f, theta, h_rel: float = 1e-5) -> np.ndarray:
     """Central-difference gradient with per-coordinate relative step.
 
-    Coordinates whose probes are non-finite get gradient 0 and are flagged in
-    the returned boolean mask.
+    Coordinates whose probes are non-finite get gradient 0.
     """
     theta = np.asarray(theta, dtype=float)
     grad = np.zeros(theta.size)
-    degenerate = np.zeros(theta.size, dtype=bool)
     for k in range(theta.size):
         h = h_rel * max(abs(theta[k]), 1.0)
         probe = theta.copy()
@@ -115,9 +79,7 @@ def finite_diff_gradient(f, theta, h_rel: float = 1e-5) -> tuple[np.ndarray, np.
         f_minus = f(probe)
         if np.isfinite(f_plus) and np.isfinite(f_minus):
             grad[k] = (f_plus - f_minus) / (2.0 * h)
-        else:
-            degenerate[k] = True
-    return grad, degenerate
+    return grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,46 +132,29 @@ def _wolfe_search(f_line, grad_dot, phi0, dphi0, c1=1e-4, c2=0.9, alpha_max=1e3,
     return None
 
 
-def lbfgs_minimize(
-    f,
-    x0,
-    *,
-    history: int = 10,
-    gtol: float = 1e-5,
-    stall_rtol: float = 1e-9,
-    stall_window: int = 3,
-    maxiter: int = 200,
-    h_rel: float = 1e-5,
-    jac=None,
-) -> MinimizeResult:
+def lbfgs_minimize(f, jac, x0, *, maxiter: int = 200) -> MinimizeResult:
     """Minimize f with L-BFGS and strong Wolfe steps.
 
     ``jac(x)`` returns the gradient of f at x; it is only asked for at points
-    where f was just evaluated and found finite. Without it, gradients are
-    central finite differences of f with relative step ``h_rel``.
+    where f was just evaluated and found finite.
 
-    Stops on gradient infinity-norm below ``gtol``, on relative objective
-    change below ``stall_rtol`` over ``stall_window`` iterations, or after
+    Stops on gradient infinity-norm below ``_GTOL``, on relative objective
+    change below ``_STALL_RTOL`` over ``_STALL_WINDOW`` iterations, or after
     ``maxiter`` iterations (then ``converged`` is False).
     """
-    if jac is None:
-
-        def jac(point):
-            return finite_diff_gradient(f, point, h_rel)[0]
-
     x = np.asarray(x0, dtype=float).copy()
     fx = f(x)
     if not np.isfinite(fx):
         return MinimizeResult(x=x, fun=fx, converged=False, n_iter=0)
     grad = jac(x)
-    s_hist: deque = deque(maxlen=history)
-    y_hist: deque = deque(maxlen=history)
-    rho_hist: deque = deque(maxlen=history)
+    s_hist: deque = deque(maxlen=_HISTORY)
+    y_hist: deque = deque(maxlen=_HISTORY)
+    rho_hist: deque = deque(maxlen=_HISTORY)
     trail = [fx]
     converged = False
     iterations = 0
     for iterations in range(1, maxiter + 1):
-        if np.max(np.abs(grad)) < gtol:
+        if np.max(np.abs(grad)) < _GTOL:
             converged = True
             break
         # two-loop recursion for the quasi-Newton direction
@@ -250,7 +195,7 @@ def lbfgs_minimize(
         x = x + s
         fx, grad = f_new, g_new
         trail.append(fx)
-        if len(trail) > stall_window and abs(trail[-1] - trail[-1 - stall_window]) < stall_rtol * (
+        if len(trail) > _STALL_WINDOW and abs(trail[-1] - trail[-1 - _STALL_WINDOW]) < _STALL_RTOL * (
             1.0 + abs(fx)
         ):
             converged = True
@@ -259,31 +204,32 @@ def lbfgs_minimize(
 
 
 def optimize(
-    obj: ObjectiveSpec,
+    criterion: Criterion,
     template: KernelSpec,
     data: Dataset,
     restarts: int,
     seed,
+    parts=None,
 ) -> OptResult:
     """Multi-restart L-BFGS over log-space hyperparameters.
 
     Initial points are uniform on [-2, 2] per coordinate. Agreement criteria
-    sample their partitions once up front and hold them fixed, keeping the
-    objective deterministic. Raises OptimizationFailed if no restart reaches
-    a finite objective.
+    need ``parts``, held fixed so that the objective is deterministic. Raises
+    OptimizationFailed if no restart reaches a finite objective.
     """
+    criterion = Criterion(criterion)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    parts = None
-    if obj.criterion in _ASC_VARIANTS:
-        parts = sample_partitions(data.n, obj.asc_config)
+    if criterion.is_asc and parts is None:
+        raise ValueError("agreement criteria need a list of partitions")
+    sign = -criterion.direction  # minimize sign * value
     dim = template.log_params.size + 1
 
     # exact gradients where there is a closed form; None: finite differences
     value_and_grad = {
         Criterion.EVIDENCE: log_evidence_and_grad,
         Criterion.LOO: loo_cv_and_grad,
-    }.get(obj.criterion)
+    }.get(criterion)
     # One entry: the minimized gradient at the last point f_min evaluated. The
     # line search asks for a gradient only where it has just evaluated f.
     memo: dict[bytes, np.ndarray] = {}
@@ -295,15 +241,17 @@ def optimize(
             return np.inf
         try:
             if value_and_grad is None:
-                value, _ = evaluate_criterion(obj.criterion, template.with_theta(theta), data, parts)
+                value, _ = evaluate_criterion(criterion, template.with_theta(theta), data, parts)
             else:
                 value, grad = value_and_grad(template.with_theta(theta), data)
-                memo[theta.tobytes()] = -obj.direction * grad
+                memo[theta.tobytes()] = sign * grad
         except _NUMERICAL_FAILURES:
             return np.inf
-        return -obj.direction * value
+        return sign * value
 
     def jac(theta):
+        if value_and_grad is None:
+            return finite_diff_gradient(f_min, theta)
         key = np.asarray(theta, dtype=float).tobytes()
         if key not in memo:
             f_min(theta)
@@ -313,14 +261,14 @@ def optimize(
     inits = rng.uniform(-2.0, 2.0, size=(restarts, dim))
     best: MinimizeResult | None = None
     for i in range(restarts):
-        result = lbfgs_minimize(f_min, inits[i], jac=None if value_and_grad is None else jac)
+        result = lbfgs_minimize(f_min, jac, inits[i])
         if not np.isfinite(result.fun):
             continue
         if best is None or result.fun < best.fun - 1e-12:
             best = result
     if best is None:
         raise OptimizationFailed(f"no finite objective over {restarts} restarts")
-    value, asc = evaluate_criterion(obj.criterion, template.with_theta(best.x), data, parts)
+    value, asc = evaluate_criterion(criterion, template.with_theta(best.x), data, parts)
     return OptResult(
         theta=best.x,
         objective_value=value,

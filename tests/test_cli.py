@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpselect
 from gpselect.cli import main
 
 
@@ -61,6 +66,19 @@ class TestSynth:
         _, train, test = run_synth(tmp_path, n_train=10, n_test=4)
         assert len(train.read_text().splitlines()) == 11
         assert len(test.read_text().splitlines()) == 5
+
+    def test_runs_as_module(self, tmp_path):
+        src = str(Path(gpselect.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["synth", "--kernel", "se", "--n-train", "4", "--n-test", "2", "--seed", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpselect.cli", *argv, "--out", str(tmp_path / "d.csv")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        train, test = tmp_path / "d_train.csv", tmp_path / "d_test.csv"
+        assert proc.stdout.splitlines() == [str(train), str(test)]
+        assert train.is_file() and test.is_file()
 
 
 @pytest.fixture()

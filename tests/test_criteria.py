@@ -20,7 +20,7 @@ from _oracles import (
 )
 from gpselect import (
     AscConfig,
-    AscVariant,
+    Criterion,
     Dataset,
     InsufficientData,
     KernelSpec,
@@ -36,7 +36,10 @@ from gpselect import criteria
 from gpselect.harness import derived_seed
 
 
-def log_eta(model, data, part, variant=AscVariant.BAYESIAN):
+ASC_CRITERIA = [c for c in Criterion if c.is_asc]
+
+
+def log_eta(model, data, part, variant=Criterion.BAYESIAN_ASC):
     """One partition's log agreement, which average_log_eta passes through exactly."""
     return average_log_eta(model, data, [part], variant).value
 
@@ -129,6 +132,26 @@ class TestAscConfig:
         assert (cfg.M, cfg.J, cfg.seed) == (2, 32, 0)
 
 
+class TestCriterion:
+    def test_only_loo_is_minimized(self):
+        assert {c: c.direction for c in Criterion} == {
+            Criterion.EVIDENCE: 1.0,
+            Criterion.LOO: -1.0,
+            Criterion.BAYESIAN_ASC: 1.0,
+            Criterion.BETA_NOISE_ASC: 1.0,
+        }
+
+    def test_asc_flag(self):
+        assert ASC_CRITERIA == [Criterion.BAYESIAN_ASC, Criterion.BETA_NOISE_ASC]
+
+    @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO, "bayesian"])
+    def test_average_log_eta_rejects_non_agreement_criteria(self, criterion):
+        rng = np.random.default_rng(12)
+        model, data = random_gp_instance(rng)
+        with pytest.raises(ValueError):
+            average_log_eta(model, data, [random_partition(rng, data.n)], criterion)
+
+
 class TestLogEtaBayesian:
     def test_constructed_unit_case(self):
         # huge model noise and zero outputs: both posteriors collapse to the
@@ -202,21 +225,21 @@ class TestLogEtaBetaNoise:
         rng = np.random.default_rng(20)
         model, data = random_gp_instance(rng)
         part = random_partition(rng, data.n)
-        forward = log_eta(model, data, part, AscVariant.BETA_NOISE)
-        assert abs(forward - log_eta(model, data, swap(part), AscVariant.BETA_NOISE)) < 1e-10
+        forward = log_eta(model, data, part, Criterion.BETA_NOISE_ASC)
+        assert abs(forward - log_eta(model, data, swap(part), Criterion.BETA_NOISE_ASC)) < 1e-10
 
     def test_matches_quadrature_m1(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
             model, data = random_gp_instance(rng)
             part = random_partition(rng, data.n)
-            got = log_eta(model, data, part, AscVariant.BETA_NOISE)
+            got = log_eta(model, data, part, Criterion.BETA_NOISE_ASC)
             assert abs(got - oracle_log_eta_beta_noise_1d(model, data, part)) < 1e-6
 
     def test_matches_tensor_quadrature_m2(self):
         rng = np.random.default_rng(22)
         model, data, part = dense_m2_instance(rng)
-        got = log_eta(model, data, part, AscVariant.BETA_NOISE)
+        got = log_eta(model, data, part, Criterion.BETA_NOISE_ASC)
         assert abs(got - oracle_log_eta_beta_noise_2d(model, data, part)) < 1e-4
 
 
@@ -260,9 +283,10 @@ class TestAverageLogEta:
         model, data = random_gp_instance(rng)
         part = random_partition(rng, data.n)
         gram = kernel_matrix(model, data.X, data.X)
-        for variant in AscVariant:
+        for variant in ASC_CRITERIA:
             score = average_log_eta(model, data, [part], variant)
-            assert score.value == criteria._log_eta(model, data, part, gram, variant)
+            bayesian = variant is Criterion.BAYESIAN_ASC
+            assert score.value == criteria._log_eta(model, data, part, gram, bayesian)
             assert score.n_failed == 0
 
     def test_identical_partitions_average_to_common_value(self):
@@ -270,7 +294,7 @@ class TestAverageLogEta:
         model, data = random_gp_instance(rng)
         part = random_partition(rng, data.n)
         single = log_eta(model, data, part)
-        score = average_log_eta(model, data, [part] * 5, AscVariant.BAYESIAN)
+        score = average_log_eta(model, data, [part] * 5, Criterion.BAYESIAN_ASC)
         assert score.value == pytest.approx(single, abs=1e-12)
 
     def test_matches_extended_precision_mean(self):
@@ -278,7 +302,7 @@ class TestAverageLogEta:
         model, data = random_gp_instance(rng, n_lo=10, n_hi=12)
         parts = [random_partition(rng, data.n) for _ in range(16)]
         values = [log_eta(model, data, p) for p in parts]
-        score = average_log_eta(model, data, parts, AscVariant.BAYESIAN)
+        score = average_log_eta(model, data, parts, Criterion.BAYESIAN_ASC)
         with mpmath.workdps(60):
             mean = mpmath.fsum(mpmath.e**v for v in values) / len(values)
             expected = float(mpmath.log(mean))
@@ -288,8 +312,8 @@ class TestAverageLogEta:
         rng = np.random.default_rng(43)
         model, data = random_gp_instance(rng)
         parts = [random_partition(rng, data.n) for _ in range(8)]
-        forward = average_log_eta(model, data, parts, AscVariant.BETA_NOISE)
-        backward = average_log_eta(model, data, parts[::-1], AscVariant.BETA_NOISE)
+        forward = average_log_eta(model, data, parts, Criterion.BETA_NOISE_ASC)
+        backward = average_log_eta(model, data, parts[::-1], Criterion.BETA_NOISE_ASC)
         assert forward.value == backward.value
 
     def test_near_singular_instance_reports_failures_without_abort(self):
@@ -300,7 +324,7 @@ class TestAverageLogEta:
         model = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=1e-8)
         data = Dataset(x, y)
         parts = sample_partitions(8, AscConfig(M=2, J=16, seed=7))
-        for variant in AscVariant:
+        for variant in ASC_CRITERIA:
             score = average_log_eta(model, data, parts, variant)
             assert score.n_partitions == 16
             assert 0.0 <= score.failed_fraction <= 1.0
@@ -314,11 +338,11 @@ class TestAverageLogEta:
         values = [log_eta(model, data, p) for p in parts]
         real = criteria._log_eta
 
-        def nan_for_second(kernel, data_, part, gram, variant):
-            return np.nan if part is parts[1] else real(kernel, data_, part, gram, variant)
+        def nan_for_second(kernel, data_, part, gram, bayesian):
+            return np.nan if part is parts[1] else real(kernel, data_, part, gram, bayesian)
 
         monkeypatch.setattr(criteria, "_log_eta", nan_for_second)
-        score = average_log_eta(model, data, parts, AscVariant.BAYESIAN)
+        score = average_log_eta(model, data, parts, Criterion.BAYESIAN_ASC)
         assert score.n_failed == 1
         expected = logsumexp(np.sort([values[0], values[2]])) - np.log(2.0)
         assert score.value == pytest.approx(float(expected), abs=1e-12)
@@ -333,7 +357,7 @@ class TestAverageLogEta:
         data = Dataset((x - x.mean(axis=1)[:, None]) / x.std(axis=1)[:, None], train.y)
         parts = sample_partitions(64, AscConfig(M=2, J=32, seed=derived_seed(0, 1)))
         theta = np.array([-5.226861461507027, 3.3879044801709925, -1.5127458863693015])
-        score = average_log_eta(teacher.with_theta(theta), data, parts, AscVariant.BETA_NOISE)
+        score = average_log_eta(teacher.with_theta(theta), data, parts, Criterion.BETA_NOISE_ASC)
         assert score.n_failed == 3
         assert np.isfinite(score.value)
 
@@ -352,6 +376,6 @@ class TestDenseReference:
         # both routes round-off dominated
         for which in (0, 1):
             assume(np.linalg.cond(maxent_half_moments(model, data, part, which)[1]) < 1e8)
-        for variant in AscVariant:
-            expected = dense_log_eta(model, data, part, variant is AscVariant.BAYESIAN)
+        for variant in ASC_CRITERIA:
+            expected = dense_log_eta(model, data, part, variant is Criterion.BAYESIAN_ASC)
             assert log_eta(model, data, part, variant) == pytest.approx(expected, abs=1e-9)

@@ -124,10 +124,10 @@ class TestRankStudents:
     def test_failed_fit_gets_worst_rank(self, monkeypatch):
         real_optimize = harness_module.optimize
 
-        def flaky(obj, template, data, restarts, seed):
+        def flaky(criterion, template, data, restarts, seed):
             if template.structure.value == "exp":
                 raise OptimizationFailed("forced")
-            return real_optimize(obj, template, data, restarts, seed)
+            return real_optimize(criterion, template, data, restarts, seed)
 
         monkeypatch.setattr(harness_module, "optimize", flaky)
         cfg = tiny_config()

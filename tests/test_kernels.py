@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpselect import KernelSpec, KernelStructure, kernel_matrix, noisy_kernel_matrix
 from gpselect.kernels import gram_from_sq_dists, gram_partials, pairwise_sq_dists
@@ -134,6 +136,27 @@ class TestMatrixProperties:
         base = kernel_matrix(make_spec(structure, signal=1.0), x, x)
         scaled = kernel_matrix(make_spec(structure, signal=3.0), x, x)
         np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-14)
+
+
+class TestPartialsWellDefined:
+    # Log values anywhere inside the optimizer's |theta| <= 300 guard. A
+    # partial may still overflow where the Gram is huge (log signal ~ 250),
+    # since its exact value exceeds the float range; it must never be NaN.
+    @pytest.mark.parametrize("structure", ALL_STRUCTURES)
+    @given(log_params=st.lists(st.floats(-300.0, 300.0), min_size=3, max_size=3))
+    @example(log_params=[-272.4, -261.4, -21.0])  # where a periodic evidence fit met a NaN partial
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_no_nan_wherever_gram_is_finite(self, structure, log_params):
+        x = np.random.default_rng(0).uniform(0, 10, (1, 16))
+        spec = KernelSpec(structure, np.array(log_params[: len(make_spec(structure).log_params)]), 0.0)
+        sq = pairwise_sq_dists(x, x)
+        with np.errstate(all="ignore"):
+            gram = gram_from_sq_dists(spec, sq)
+        partials = gram_partials(spec, sq, gram)
+        for partial in partials:
+            assert not np.isnan(partial[np.isfinite(gram)]).any()
+            # an underflowed Gram entry has the exact limit 0 as its partial
+            assert np.all(partial[gram == 0.0] == 0.0)
 
 
 class TestSpecValidation:

@@ -6,13 +6,13 @@ from gpselect import (
     AscConfig,
     Criterion,
     KernelSpec,
-    ObjectiveSpec,
     OptimizationFailed,
     SingularCovariance,
     evaluate_criterion,
     finite_diff_gradient,
     log_evidence,
     optimize,
+    sample_partitions,
 )
 from gpselect.harness import sample_synthetic
 from gpselect.optimize import lbfgs_minimize
@@ -24,22 +24,20 @@ def se_template():
 
 class TestFiniteDiffGradient:
     def test_quadratic(self):
-        grad, flags = finite_diff_gradient(lambda t: float(t @ t), np.array([1.0, 2.0]))
+        grad = finite_diff_gradient(lambda t: float(t @ t), np.array([1.0, 2.0]))
         np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-6)
-        assert not flags.any()
 
     def test_constant(self):
-        grad, flags = finite_diff_gradient(lambda t: 5.0, np.array([0.3, -0.7, 2.0]))
+        grad = finite_diff_gradient(lambda t: 5.0, np.array([0.3, -0.7, 2.0]))
         np.testing.assert_array_equal(grad, np.zeros(3))
-        assert not flags.any()
 
-    def test_non_finite_probe_flagged(self):
+    def test_non_finite_probe_zeroes_only_its_coordinate(self):
         def f(t):
             return np.inf if t[0] > 1.0 else float(t @ t)
 
-        grad, flags = finite_diff_gradient(f, np.array([1.0, 0.5]))
-        assert flags[0] and not flags[1]
+        grad = finite_diff_gradient(f, np.array([1.0, 0.5]))
         assert grad[0] == 0.0
+        assert grad[1] == pytest.approx(1.0, abs=1e-6)
 
     def test_evidence_gradient_matches_analytic_oracle(self):
         rng = np.random.default_rng(0)
@@ -49,24 +47,37 @@ class TestFiniteDiffGradient:
             def f(theta):
                 return log_evidence(model.with_theta(theta), data)
 
-            numeric, _ = finite_diff_gradient(f, model.theta())
+            numeric = finite_diff_gradient(f, model.theta())
             analytic = evidence_gradient_oracle(model, data)
             np.testing.assert_allclose(
                 numeric, analytic, atol=1e-4 * max(1.0, float(np.max(np.abs(analytic))))
             )
 
 
+def rosen(t):
+    return float(100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2)
+
+
+def rosen_grad(t):
+    return np.array(
+        [-400.0 * t[0] * (t[1] - t[0] ** 2) - 2.0 * (1.0 - t[0]), 200.0 * (t[1] - t[0] ** 2)]
+    )
+
+
+def numeric_jac(f):
+    return lambda t: finite_diff_gradient(f, t)
+
+
 class TestLbfgs:
     def test_quadratic_smoke(self):
-        result = lbfgs_minimize(lambda t: float((t[0] - 3.0) ** 2), np.array([-1.0]))
+        result = lbfgs_minimize(
+            lambda t: float((t[0] - 3.0) ** 2), lambda t: 2.0 * (t - 3.0), np.array([-1.0])
+        )
         assert result.converged
         assert result.x[0] == pytest.approx(3.0, abs=1e-6)
 
     def test_rosenbrock_2d(self):
-        def rosen(t):
-            return float(100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2)
-
-        result = lbfgs_minimize(rosen, np.array([-1.2, 1.0]), maxiter=500)
+        result = lbfgs_minimize(rosen, numeric_jac(rosen), np.array([-1.2, 1.0]), maxiter=500)
         np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-4)
 
     def test_infinite_region_avoided(self):
@@ -75,25 +86,20 @@ class TestLbfgs:
                 return np.inf
             return float((t[0] - 1.0) ** 2)
 
-        result = lbfgs_minimize(f, np.array([4.0]))
+        result = lbfgs_minimize(f, numeric_jac(f), np.array([4.0]))
         assert np.isfinite(result.fun)
         assert result.x[0] == pytest.approx(1.0, abs=1e-5)
 
     def test_rosenbrock_with_exact_jacobian(self):
-        def rosen(t):
-            return float(100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2)
-
-        def rosen_grad(t):
-            return np.array(
-                [-400.0 * t[0] * (t[1] - t[0] ** 2) - 2.0 * (1.0 - t[0]), 200.0 * (t[1] - t[0] ** 2)]
-            )
-
-        result = lbfgs_minimize(rosen, np.array([-1.2, 1.0]), maxiter=500, jac=rosen_grad)
+        result = lbfgs_minimize(rosen, rosen_grad, np.array([-1.2, 1.0]), maxiter=500)
         assert result.converged
         np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-4)
 
     def test_infinite_start_reported(self):
-        result = lbfgs_minimize(lambda t: np.inf, np.array([0.0]))
+        def no_gradient(t):
+            raise AssertionError("no gradient is needed at a non-finite start")
+
+        result = lbfgs_minimize(lambda t: np.inf, no_gradient, np.array([0.0]))
         assert not result.converged
         assert not np.isfinite(result.fun)
 
@@ -102,9 +108,8 @@ class TestOptimize:
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        spec = ObjectiveSpec(Criterion.EVIDENCE)
-        first = optimize(spec, se_template(), data, restarts=2, seed=11)
-        second = optimize(spec, se_template(), data, restarts=2, seed=11)
+        first = optimize(Criterion.EVIDENCE, se_template(), data, restarts=2, seed=11)
+        second = optimize(Criterion.EVIDENCE, se_template(), data, restarts=2, seed=11)
         np.testing.assert_array_equal(first.theta, second.theta)
         assert first.objective_value == second.objective_value
         assert first.converged == second.converged
@@ -112,7 +117,7 @@ class TestOptimize:
     def test_returned_value_is_fresh(self):
         rng = np.random.default_rng(2)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        result = optimize(ObjectiveSpec(Criterion.EVIDENCE), se_template(), data, 2, seed=3)
+        result = optimize(Criterion.EVIDENCE, se_template(), data, 2, seed=3)
         fitted = se_template().with_theta(result.theta)
         value, _ = evaluate_criterion(Criterion.EVIDENCE, fitted, data)
         assert result.objective_value == pytest.approx(value, abs=1e-9)
@@ -121,44 +126,46 @@ class TestOptimize:
         rng = np.random.default_rng(3)
         teacher = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.3)
         train, _ = sample_synthetic(teacher, 32, 1, seed=5)
-        result = optimize(ObjectiveSpec(Criterion.EVIDENCE), se_template(), train, 2, seed=5)
+        result = optimize(Criterion.EVIDENCE, se_template(), train, 2, seed=5)
         if result.converged:
             kern = se_template()
 
             def f(theta):
                 return log_evidence(kern.with_theta(theta), train)
 
-            grad, _ = finite_diff_gradient(f, result.theta)
+            grad = finite_diff_gradient(f, result.theta)
             assert np.linalg.norm(grad) < 1e-3 * (1.0 + abs(result.objective_value))
 
     def test_more_restarts_never_worse(self):
         rng = np.random.default_rng(4)
         model, data = random_gp_instance(rng, n_lo=14, n_hi=14, structure="per")
-        spec = ObjectiveSpec(Criterion.EVIDENCE)
         template = KernelSpec.create("per", lengthscale=1.0, period=1.0, signal=1.0, noise=1.0)
-        one = optimize(spec, template, data, restarts=1, seed=9)
-        eight = optimize(spec, template, data, restarts=8, seed=9)
+        one = optimize(Criterion.EVIDENCE, template, data, restarts=1, seed=9)
+        eight = optimize(Criterion.EVIDENCE, template, data, restarts=8, seed=9)
         assert eight.objective_value >= one.objective_value - 1e-12
 
     def test_loo_direction_minimizes(self):
         rng = np.random.default_rng(5)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        result = optimize(ObjectiveSpec(Criterion.LOO), se_template(), data, 2, seed=6)
+        result = optimize(Criterion.LOO, se_template(), data, 2, seed=6)
         fitted = se_template().with_theta(result.theta)
         at_fit, _ = evaluate_criterion(Criterion.LOO, fitted, data)
         perturbed = se_template().with_theta(result.theta + 0.5)
         worse, _ = evaluate_criterion(Criterion.LOO, perturbed, data)
         assert at_fit <= worse + 1e-9
 
-    def test_asc_requires_config(self):
-        with pytest.raises(ValueError):
-            ObjectiveSpec(Criterion.BAYESIAN_ASC)
+    def test_asc_requires_partitions(self):
+        rng = np.random.default_rng(6)
+        model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
+        for criterion in (Criterion.BAYESIAN_ASC, Criterion.BETA_NOISE_ASC):
+            with pytest.raises(ValueError, match="partitions"):
+                optimize(criterion, se_template(), data, restarts=1, seed=7)
 
     def test_asc_fit_reports_partition_fraction(self):
         rng = np.random.default_rng(6)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        spec = ObjectiveSpec(Criterion.BAYESIAN_ASC, AscConfig(M=1, J=4, seed=2))
-        result = optimize(spec, se_template(), data, restarts=1, seed=7)
+        parts = sample_partitions(data.n, AscConfig(M=1, J=4, seed=2))
+        result = optimize(Criterion.BAYESIAN_ASC, se_template(), data, restarts=1, seed=7, parts=parts)
         assert result.failed_partition_fraction is not None
         assert 0.0 <= result.failed_partition_fraction <= 1.0
         assert np.isfinite(result.objective_value)
@@ -176,7 +183,7 @@ class TestOptimize:
         # evidence fits evaluate through the fused value-and-gradient seam
         monkeypatch.setattr(optimize_module, "log_evidence_and_grad", always_singular)
         with pytest.raises(OptimizationFailed):
-            optimize(ObjectiveSpec(Criterion.EVIDENCE), se_template(), data, 2, seed=8)
+            optimize(Criterion.EVIDENCE, se_template(), data, 2, seed=8)
 
     @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO])
     def test_exact_fits_evaluate_each_point_once(self, monkeypatch, criterion):
@@ -201,7 +208,7 @@ class TestOptimize:
         monkeypatch.setattr(optimize_module, "finite_diff_gradient", no_finite_differences)
         rng = np.random.default_rng(8)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        result = optimize(ObjectiveSpec(criterion), se_template(), data, 2, seed=4)
+        result = optimize(criterion, se_template(), data, 2, seed=4)
         assert np.isfinite(result.objective_value)
         # the line search's gradient request at a just-evaluated point is a memo hit
         repeats = sum(np.array_equal(a, b) for a, b in zip(visited, visited[1:]))
@@ -211,7 +218,7 @@ class TestOptimize:
         # single-replicate smoke: the full recovery study is in acceptance
         teacher = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.1)
         train, _ = sample_synthetic(teacher, 64, 1, seed=123)
-        result = optimize(ObjectiveSpec(Criterion.EVIDENCE), se_template(), train, 3, seed=4)
+        result = optimize(Criterion.EVIDENCE, se_template(), train, 3, seed=4)
         recovered = np.exp(result.theta)
         assert 0.3 < recovered[0] < 3.0  # lengthscale
         assert 0.25 < recovered[1] < 4.0  # signal

@@ -174,7 +174,7 @@ class TestExactGradients:
         # that step can be off by ~1e-4 (period coordinate at noise ~1e-4,
         # where 50-digit differences agree with the exact gradient to 4e-8)
         numeric = np.array(
-            [finite_diff_gradient(f, kern.theta(), h)[0] for h in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)]
+            [finite_diff_gradient(f, kern.theta(), h) for h in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)]
         )
         err = np.min(np.abs(numeric - grad), axis=0)
         np.testing.assert_array_less(err, 1e-3 * np.maximum(1.0, np.abs(grad)))
