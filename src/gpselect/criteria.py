@@ -9,7 +9,9 @@ likelihood alone (unit inverse temperature, so the noise level plays the role
 of the temperature); the Bayesian variant multiplies it by the zero-mean GP
 prior. One routine builds both in information form, where multiplying by the
 prior adds its precision, and integrates their product with the prior in
-closed form.
+closed form. It evaluates all partitions of a call at once, as stacked
+arrays gathered from one Gram matrix; a partition whose factorization fails
+becomes a NaN in the stack and is counted as failed.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.special import logsumexp
 
-from .errors import AllPartitionsFailed, InsufficientData, RankDeficient, SingularCovariance
-from .gaussian import chol_spd, log_product_integral, maxent_linear_map_posterior
-from .kernels import KernelSpec, kernel_matrix
+from .errors import AllPartitionsFailed, InsufficientData
+# chol_spd is unused here but stays bound: perfbench/tracing.py checks every module's binding
+from .gaussian import chol_spd  # noqa: F401
+from .gaussian import chol_stack, cho_solve_stack, log_product_integral, maxent_linear_map_posterior
+from .kernels import KernelSpec, gram_from_sq_dists
 from .regression import Dataset
 
 
@@ -118,28 +121,54 @@ def sample_partitions(n: int, cfg: AscConfig) -> list[Partition]:
     return parts
 
 
-def _log_eta(kernel: KernelSpec, data: Dataset, part: Partition, gram, bayesian: bool) -> float:
-    """log agreement of one partition, every component in information form.
+def _blocks(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``gram[rows[j]][:, cols[j]]`` for every j, from ``(J, p)`` and ``(J, q)`` index stacks."""
+    return np.take(gram, rows[:, :, None] * gram.shape[1] + cols[:, None, :])
+
+
+def _log_eta_stack(
+    kernel: KernelSpec, data: Dataset, parts: list[Partition], gram, bayesian: bool
+) -> np.ndarray:
+    """log agreement of each partition, all sharing one anchor count M; NaN where one fails.
 
     Given the anchor latents f, half i's outputs are N(A^T f, Sigma_i) with
     A = K_aa^-1 K_ai and Sigma_i = K_ii + sigma_n^2 I - K_ia A. Normalized
     over f, that likelihood has precision A Sigma_i^-1 A^T and shift
     A Sigma_i^-1 y_i; the Bayesian half posterior adds the prior precision
-    K_aa^-1. The prior itself is the third component.
+    K_aa^-1. The prior itself is the third component. Every step works on
+    stacks: the anchor blocks ``(J, M, M)`` at once, and the halves grouped
+    by size, so that both halves of an odd N and swapped halves stack too.
     """
-    a = part.anchor_idx
-    factor, _ = chol_spd(gram[np.ix_(a, a)], "anchor covariance")
-    prior_precision = cho_solve((factor, True), np.eye(a.size))  # K_aa^-1
-    components = []
-    for idx in (part.idx1, part.idx2):
-        cross = gram[np.ix_(a, idx)]  # K_ai
-        a_map = cho_solve((factor, True), cross)  # (M, n_i)
-        sigma = gram[np.ix_(idx, idx)] + kernel.noise_variance * np.eye(idx.size)
-        sigma -= cross.T @ a_map
-        lam, r = maxent_linear_map_posterior(a_map, data.y[idx], 0.5 * (sigma + sigma.T))
-        components.append((lam + prior_precision if bayesian else lam, r))
-    components.append((prior_precision, np.zeros(a.size)))
-    return log_product_integral(components)
+    values = np.full(len(parts), np.nan)
+    anchors = np.array([p.anchor_idx for p in parts])  # (J, M)
+    factor = chol_stack(_blocks(gram, anchors, anchors), "anchor covariance")
+    ok = np.flatnonzero(np.isfinite(factor).all(axis=(1, 2)))
+    if not ok.size:
+        return values
+    anchors, factor = anchors[ok], factor[ok]
+    m = anchors.shape[1]
+    halves = [
+        (which, k, half)
+        for k, j in enumerate(ok)
+        for which, half in enumerate((parts[j].idx1, parts[j].idx2))
+    ]
+    lam = np.empty((2, ok.size, m, m))
+    r = np.empty((2, ok.size, m))
+    for size in sorted({half.size for _, _, half in halves}):
+        which, rows, idx = zip(*[h for h in halves if h[2].size == size])
+        which, rows, idx = np.array(which), np.array(rows), np.stack(idx)  # idx: (G, n)
+        cross = _blocks(gram, anchors[rows], idx)  # K_ai, (G, M, n)
+        a_map = cho_solve_stack(factor[rows], cross)
+        sigma = _blocks(gram, idx, idx) + kernel.noise_variance * np.eye(size)
+        sigma -= np.swapaxes(cross, 1, 2) @ a_map
+        lam[which, rows], r[which, rows] = maxent_linear_map_posterior(a_map, data.y[idx], sigma)
+    prior_precision = cho_solve_stack(factor, np.broadcast_to(np.eye(m), factor.shape))  # K_aa^-1
+    if bayesian:
+        lam += prior_precision
+    values[ok] = log_product_integral(
+        [(lam[0], r[0]), (lam[1], r[1]), (prior_precision, np.zeros((ok.size, m)))]
+    )
+    return values
 
 
 def average_log_eta(
@@ -150,11 +179,12 @@ def average_log_eta(
 ) -> AscScore:
     """log of the mean agreement over partitions, skipping numerical failures.
 
-    The mean is of the agreements themselves (not their logs), computed by
-    log-sum-exp over the sorted per-partition values so the result does not
-    depend on evaluation order. A partition whose factorization fails or whose
-    value is not finite counts as failed. Raises AllPartitionsFailed only if
-    no partition survives.
+    All partitions with the same anchor count are evaluated together as
+    stacked arrays, from one Gram matrix. The mean is of the agreements
+    themselves (not their logs), computed by log-sum-exp over the sorted
+    per-partition values so the result does not depend on evaluation order.
+    A partition whose factorization fails or whose value is not finite counts
+    as failed. Raises AllPartitionsFailed only if no partition survives.
     """
     criterion = Criterion(criterion)
     if not criterion.is_asc:
@@ -162,14 +192,13 @@ def average_log_eta(
     if not parts:
         raise ValueError("need at least one partition")
     bayesian = criterion is Criterion.BAYESIAN_ASC
-    gram = kernel_matrix(kernel, data.X, data.X)
-    values = []
-    for part in parts:
-        try:
-            values.append(_log_eta(kernel, data, part, gram, bayesian))
-        except (SingularCovariance, RankDeficient):
-            values.append(np.nan)
-    ordered = np.sort([v for v in values if np.isfinite(v)])
+    gram = gram_from_sq_dists(kernel, data.sq_dists)
+    sizes = np.array([p.anchor_idx.size for p in parts])
+    values = np.empty(len(parts))
+    for m in np.unique(sizes):
+        js = np.flatnonzero(sizes == m)
+        values[js] = _log_eta_stack(kernel, data, [parts[j] for j in js], gram, bayesian)
+    ordered = np.sort(values[np.isfinite(values)])
     if not ordered.size:
         raise AllPartitionsFailed(len(parts))
     value = float(logsumexp(ordered) - np.log(ordered.size))

@@ -2,9 +2,12 @@
 
 Conditioning works in moment form (mean, covariance). The agreement integrals
 work in information form (precision Lambda, shift r = Lambda mean), in which
-products of Gaussians add and no precision is ever inverted. Everything works
-in log space; raw densities are never multiplied. All types are immutable
-after construction and safe to share across threads.
+products of Gaussians add and no precision is ever inverted. Their routines
+take an optional leading batch axis and then work on a whole stack at once:
+a slice that cannot be factored becomes NaN where the 2-D call would raise.
+``chol_spd`` factors one matrix; ``chol_stack`` factors a stack the same way.
+Everything works in log space; raw densities are never multiplied. All types
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -59,15 +62,11 @@ def _smallest_pivot(sym: np.ndarray) -> float | None:
         return None
 
 
-def _half_logdet(chol: np.ndarray) -> float:
-    return float(np.sum(np.log(np.diag(chol))))
-
-
 def _logpdf_dev(chol: np.ndarray, dev: np.ndarray) -> float:
     """log N(dev | 0, L L^T) from the cached factor."""
     # unchecked: a non-finite precision must give a non-finite value, not a ValueError
     z = solve_triangular(chol, dev, lower=True, check_finite=False)
-    return float(-0.5 * (dev.size * _LOG_2PI + z @ z) - _half_logdet(chol))
+    return float(-0.5 * (dev.size * _LOG_2PI + z @ z) - np.sum(np.log(np.diag(chol))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,33 +116,108 @@ def condition(factor, cross, cov_target, observed, name: str = "conditional cova
     return GaussianDist.from_moments(gain.T @ observed, cov, name)
 
 
-def _log_density_at_zero(lam, r) -> float:
-    """log N(0 | Lambda^-1 r, Lambda^-1); no jitter, which would mask a rank-deficient Lambda."""
+def _cholesky_slices(sym: np.ndarray, rescue) -> np.ndarray:
+    """Lower Cholesky factors of a symmetric ``(..., n, n)`` stack.
+
+    One batched factorization serves the common case. If it fails, each slice
+    is factored alone, and ``rescue(slice)`` gives the factor of a slice that
+    fails again.
+    """
     try:
-        factor = np.linalg.cholesky(0.5 * (lam + lam.T))
-    except np.linalg.LinAlgError as err:
-        raise RankDeficient("precision is not positive-definite") from err
-    return _logpdf_dev(factor, r) + 2.0 * _half_logdet(factor)
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        pass
+    flat = sym.reshape((-1,) + sym.shape[-2:])
+    factors = np.empty_like(flat)
+    for j, mat in enumerate(flat):
+        try:
+            factors[j] = np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            factors[j] = rescue(mat)
+    return factors.reshape(sym.shape)
 
 
-def log_product_integral(components) -> float:
+def chol_stack(mats: np.ndarray, name: str = "covariance") -> np.ndarray:
+    """Lower Cholesky factors of a ``(J, n, n)`` stack, each as :func:`chol_spd` gives it.
+
+    Only the slices that do not factor as they are go through ``chol_spd``'s
+    jitter ladder, one at a time. A slice the ladder cannot rescue gets an
+    all-NaN factor; one with a non-finite entry gets a non-finite factor.
+    """
+
+    def rescue(mat):
+        try:
+            return chol_spd(mat, name)[0]
+        except SingularCovariance:
+            return np.full_like(mat, np.nan)
+
+    return _cholesky_slices(0.5 * (mats + np.swapaxes(mats, -1, -2)), rescue)
+
+
+def solve_lower(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """factors^-1 rhs by forward substitution, for lower-triangular ``(..., n, n)``
+    factors and column stacks ``(..., n, k)``; one step per row, vectorized over
+    the leading axes. A NaN factor gives a NaN result, not an error."""
+    out = np.empty(np.broadcast_shapes(factors.shape[:-1], rhs.shape[:-2] + (1,)) + rhs.shape[-1:])
+    diag = np.diagonal(factors, axis1=-2, axis2=-1)[..., None]
+    for i in range(factors.shape[-1]):
+        done = (factors[..., i : i + 1, :i] @ out[..., :i, :])[..., 0, :]
+        out[..., i, :] = (rhs[..., i, :] - done) / diag[..., i, :]
+    return out
+
+
+def cho_solve_stack(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(L L^T)^-1 rhs for lower factors ``(..., n, n)`` and column stacks ``(..., n, k)``.
+
+    Forward substitution with L, then back substitution with L^T, as
+    ``scipy.linalg.cho_solve`` does; reversing rows and columns makes L^T
+    lower-triangular.
+    """
+    flipped = np.swapaxes(factors, -1, -2)[..., ::-1, ::-1]
+    return solve_lower(flipped, solve_lower(factors, rhs)[..., ::-1, :])[..., ::-1, :]
+
+
+def log_product_integral(components):
     """log of  integral prod_k p_k(x) dx  for Gaussians in information form.
 
     Each component is a pair ``(Lambda_k, r_k)``, the density with precision
     Lambda_k and mean Lambda_k^-1 r_k. The log integral is
     ``sum_k log p_k(0) - log p_*(0)``, where p_* has precision sum_k Lambda_k
-    and shift sum_k r_k. A precision that is not positive-definite raises
-    :class:`RankDeficient`; a non-finite one yields a non-finite value.
+    and shift sum_k r_k, and ``log p(0) = -1/2 (n log 2 pi + |L^-1 r|^2) +
+    log|L|`` for the strict (unjittered) factor L of Lambda.
+
+    With 2-D precisions ``(n, n)`` and shifts ``(n,)`` the result is a float;
+    a precision that is not positive-definite raises :class:`RankDeficient`.
+    With a leading batch axis, ``(J, n, n)`` and ``(J, n)``, it is a ``(J,)``
+    array and such a slice is NaN. Either way a non-finite precision yields a
+    non-finite value.
     """
     if not components:
         raise ValueError("need at least one component")
-    n = np.size(components[0][1])
-    if any(np.shape(lam) != (n, n) or np.size(r) != n for lam, r in components):
+    lams = [np.asarray(lam, dtype=float) for lam, _ in components]
+    batched = lams[0].ndim == 3
+    if batched:
+        rs = [np.asarray(r, dtype=float) for _, r in components]
+    else:
+        lams = [lam[None] for lam in lams]
+        rs = [np.asarray(r, dtype=float).reshape(1, -1) for _, r in components]
+    shape = rs[0].shape
+    if any(lam.shape != shape + shape[-1:] or r.shape != shape for lam, r in zip(lams, rs)):
         raise ValueError("components have mismatched dimensions")
-    value = sum(_log_density_at_zero(lam, r) for lam, r in components)
-    lam_sum = sum(lam for lam, _ in components)
-    r_sum = sum(r for _, r in components)
-    return value - _log_density_at_zero(lam_sum, r_sum)
+    lam = np.stack(lams + [sum(lams)])  # (K + 1, J, n, n), the product's last
+    r = np.stack(rs + [sum(rs)])
+
+    def rescue(mat):  # no jitter, which would mask a rank-deficient precision
+        if not batched:
+            raise RankDeficient("precision is not positive-definite")
+        return np.full_like(mat, np.nan)
+
+    factor = _cholesky_slices(0.5 * (lam + np.swapaxes(lam, -1, -2)), rescue)
+    z = solve_lower(factor, r[..., None])[..., 0]
+    log_diag = np.log(np.diagonal(factor, axis1=-2, axis2=-1))
+    at_zero = -0.5 * (shape[-1] * _LOG_2PI + np.sum(z * z, axis=-1)) + np.sum(log_diag, axis=-1)
+    value = np.sum(at_zero[:-1], axis=0) - at_zero[-1]
+    return value if batched else float(value[0])
 
 
 def maxent_linear_map_posterior(A, mu, sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -153,14 +227,33 @@ def maxent_linear_map_posterior(A, mu, sigma) -> tuple[np.ndarray, np.ndarray]:
     ``r = A Sigma^-1 mu``; the density is N(x | Lambda^-1 r, Lambda^-1). It is
     proper only if ``A`` (m x n) has full row rank. A rank-deficient map gives a
     singular Lambda, which :func:`log_product_integral` rejects.
+
+    With a leading batch axis (``A`` of shape ``(J, m, n)``, ``mu`` ``(J, n)``
+    and ``Sigma`` ``(J, n, n)``) every slice is done at once. Then a Sigma
+    that :func:`chol_spd` cannot factor gives NaN in its slice, where a 2-D
+    call raises :class:`SingularCovariance`.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    m, n = A.shape
+    A = np.asarray(A, dtype=float)
+    batched = A.ndim == 3
+    if batched:
+        mu = np.asarray(mu, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+    else:
+        A = np.atleast_2d(A)[None]
+        mu = np.asarray(mu, dtype=float).reshape(1, -1)
+        sigma = np.asarray(sigma, dtype=float)[None]
+    m, n = A.shape[-2:]
     if m > n:
         raise ValueError(f"map has more rows ({m}) than columns ({n}); cannot have full row rank")
-    if mu.size != n:
-        raise ValueError(f"vector length {mu.size} does not match map columns {n}")
-    factor, _ = chol_spd(np.asarray(sigma, dtype=float), "noise covariance")
-    w = cho_solve((factor, True), A.T)  # Sigma^{-1} A^T
-    return A @ w, w.T @ mu
+    if mu.shape[-1] != n:
+        raise ValueError(f"vector length {mu.shape[-1]} does not match map columns {n}")
+    if batched:
+        factor = chol_stack(sigma, "noise covariance")
+    else:
+        factor = chol_spd(sigma[0], "noise covariance")[0][None]
+    # with B = L^-1 A^T and b = L^-1 mu: Lambda = B^T B and r = B^T b
+    solved = solve_lower(factor, np.concatenate([np.swapaxes(A, -1, -2), mu[..., None]], axis=-1))
+    b_map = np.swapaxes(solved[..., :m], -1, -2)
+    lam = b_map @ solved[..., :m]
+    r = (b_map @ solved[..., m:])[..., 0]
+    return (lam, r) if batched else (lam[0], r[0])

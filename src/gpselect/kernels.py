@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import expit
 
 
 class KernelStructure(str, Enum):
@@ -115,6 +116,17 @@ def pairwise_sq_dists(xa, xb) -> np.ndarray:
     return out
 
 
+# Smallest normal float: a rational-quadratic scale 2 alpha ell^2 below it has underflowed.
+_TINY = np.finfo(float).tiny
+
+
+def _rq_log_u(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
+    """log u, u = sq / (2 alpha ell^2), from the log-parameters; -inf where sq is 0."""
+    log_ell, _, log_alpha = spec.log_params
+    with np.errstate(divide="ignore"):
+        return np.log(sq) - np.log(2.0) - log_alpha - 2.0 * log_ell
+
+
 def gram_from_sq_dists(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
     """Kernel values from a matrix of squared input distances."""
     params = np.exp(spec.log_params)
@@ -123,7 +135,10 @@ def gram_from_sq_dists(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
         return sf**2 * np.exp(-0.5 * sq / ell**2)
     if spec.structure is KernelStructure.RATIONAL_QUADRATIC:
         ell, sf, alpha = params
-        return sf**2 * (1.0 + sq / (2.0 * alpha * ell**2)) ** (-alpha)
+        scale = 2.0 * alpha * ell**2
+        if scale < _TINY:  # sq / scale would be 0/0 or overflow; work from log u
+            return sf**2 * np.exp(-alpha * np.logaddexp(0.0, _rq_log_u(spec, sq)))
+        return sf**2 * (1.0 + sq / scale) ** (-alpha)
     if spec.structure is KernelStructure.EXPONENTIAL:
         ell, sf = params
         return sf**2 * np.exp(-np.sqrt(sq) / ell)
@@ -147,9 +162,14 @@ def gram_partials(spec: KernelSpec, sq: np.ndarray, gram: np.ndarray) -> list[np
             partials = [gram * (sq / ell**2), 2.0 * gram]
         elif spec.structure is KernelStructure.RATIONAL_QUADRATIC:
             ell, _, alpha = params
-            u = sq / (2.0 * alpha * ell**2)
-            ratio = u / (1.0 + u)
-            partials = [gram * (2.0 * alpha * ratio), 2.0 * gram, gram * (alpha * (ratio - np.log1p(u)))]
+            scale = 2.0 * alpha * ell**2
+            if scale < _TINY:
+                log_u = _rq_log_u(spec, sq)
+                ratio, log1p_u = expit(log_u), np.logaddexp(0.0, log_u)
+            else:
+                u = sq / scale
+                ratio, log1p_u = u / (1.0 + u), np.log1p(u)
+            partials = [gram * (2.0 * alpha * ratio), 2.0 * gram, gram * (alpha * (ratio - log1p_u))]
         elif spec.structure is KernelStructure.EXPONENTIAL:
             ell, _ = params
             partials = [gram * (np.sqrt(sq) / ell), 2.0 * gram]

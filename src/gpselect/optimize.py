@@ -2,8 +2,9 @@
 
 ``optimize`` fits a kernel under one ``Criterion``. The evidence and
 leave-one-out fits use exact gradients computed from the same factorization
-as the value; the agreement criteria, over partitions the caller samples, use
-central finite differences. ``lbfgs_minimize`` always takes a gradient
+as the value, and only at the points where the line search asks for one; the
+agreement criteria, over partitions the caller samples, use central finite
+differences. ``lbfgs_minimize`` always takes a gradient
 function. Failed evaluations (singular covariances, all partitions failed)
 act as an infinite penalty that the line search backs away from.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -230,9 +232,10 @@ def optimize(
         Criterion.EVIDENCE: log_evidence_and_grad,
         Criterion.LOO: loo_cv_and_grad,
     }.get(criterion)
-    # One entry: the minimized gradient at the last point f_min evaluated. The
-    # line search asks for a gradient only where it has just evaluated f.
-    memo: dict[bytes, np.ndarray] = {}
+    # One entry: the gradient callable of the last point f_min evaluated. The
+    # line search asks for a gradient only where it has just evaluated f and
+    # found sufficient decrease, so most evaluations never call it.
+    memo: dict[bytes, Callable[[], np.ndarray]] = {}
 
     def f_min(theta):
         theta = np.asarray(theta, dtype=float)
@@ -243,8 +246,7 @@ def optimize(
             if value_and_grad is None:
                 value, _ = evaluate_criterion(criterion, template.with_theta(theta), data, parts)
             else:
-                value, grad = value_and_grad(template.with_theta(theta), data)
-                memo[theta.tobytes()] = sign * grad
+                value, memo[theta.tobytes()] = value_and_grad(template.with_theta(theta), data)
         except _NUMERICAL_FAILURES:
             return np.inf
         return sign * value
@@ -255,7 +257,7 @@ def optimize(
         key = np.asarray(theta, dtype=float).tobytes()
         if key not in memo:
             f_min(theta)
-        return memo[key]
+        return sign * memo[key]()
 
     rng = np.random.default_rng(seed)
     inits = rng.uniform(-2.0, 2.0, size=(restarts, dim))

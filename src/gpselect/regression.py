@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -49,41 +51,49 @@ class Dataset:
     def dim(self) -> int:
         return self.X.shape[0]
 
-
-def _output_precision(kernel: KernelSpec, data: Dataset):
-    """Factor K + sigma_n^2 I once; returns what both objectives and their gradients need.
-
-    ``(partials, factor, precision)``: dK/dtheta for every optimizer
-    coordinate (kernel log-parameters, then log-noise), the lower Cholesky
-    factor of the (possibly jittered) output covariance, and its inverse.
-    """
-    sq = pairwise_sq_dists(data.X, data.X)
-    gram = gram_from_sq_dists(kernel, sq)
-    noise_var = kernel.noise_variance
-    eye = np.eye(data.n)
-    factor, _ = chol_spd(gram + noise_var * eye, "output covariance")
-    precision = cho_solve((factor, True), eye)
-    partials = gram_partials(kernel, sq, gram) + [(2.0 * noise_var) * eye]
-    return partials, factor, precision
+    @cached_property
+    def sq_dists(self) -> np.ndarray:
+        """Read-only (N, N) squared distances between the inputs, computed once."""
+        sq = pairwise_sq_dists(self.X, self.X)
+        sq.flags.writeable = False
+        return sq
 
 
-def _contract(weights: np.ndarray, partials: list[np.ndarray]) -> np.ndarray:
-    """Gradient sum_kl W_kl dK_kl for each partial dK."""
+def _output_factor(kernel: KernelSpec, data: Dataset):
+    """Factor K + sigma_n^2 I once; returns ``(gram, factor)``, the noise-free
+    Gram and the lower Cholesky factor of the (possibly jittered) output
+    covariance."""
+    gram = gram_from_sq_dists(kernel, data.sq_dists)
+    factor, _ = chol_spd(gram + kernel.noise_variance * np.eye(data.n), "output covariance")
+    return gram, factor
+
+
+def _contract(kernel: KernelSpec, data: Dataset, gram, weights: np.ndarray) -> np.ndarray:
+    """Gradient sum_kl W_kl dK_kl for dK/dtheta of every optimizer coordinate
+    (kernel log-parameters, then log-noise)."""
+    partials = gram_partials(kernel, data.sq_dists, gram)
+    partials.append((2.0 * kernel.noise_variance) * np.eye(data.n))
     flat = weights.ravel()
     return np.array([flat @ p.ravel() for p in partials])
 
 
-def log_evidence_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, np.ndarray]:
-    """log p(y | X) and its gradient in the optimizer coordinates ``kernel.theta()``.
+def log_evidence_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, Callable[[], np.ndarray]]:
+    """log p(y | X), and a callable giving its gradient in ``kernel.theta()``.
 
-    Gradient by the trace identity (Rasmussen & Williams, GPML eq. 5.9):
-    d/dtheta_j = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta_j), alpha = K^-1 y.
+    The gradient is computed only when the callable is called, from the same
+    factorization as the value, by the trace identity (Rasmussen & Williams,
+    GPML eq. 5.9): d/dtheta_j = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta_j),
+    alpha = K^-1 y.
     """
     if data.n < 1:
         raise ValueError("evidence requires at least one data point")
-    partials, factor, precision = _output_precision(kernel, data)
-    alpha = precision @ data.y
-    grad = _contract(0.5 * (np.outer(alpha, alpha) - precision), partials)
+    gram, factor = _output_factor(kernel, data)
+
+    def grad() -> np.ndarray:
+        precision = cho_solve((factor, True), np.eye(data.n))
+        alpha = precision @ data.y
+        return _contract(kernel, data, gram, 0.5 * (np.outer(alpha, alpha) - precision))
+
     return _logpdf_dev(factor, data.y), grad
 
 
@@ -92,30 +102,36 @@ def log_evidence(kernel: KernelSpec, data: Dataset) -> float:
     return log_evidence_and_grad(kernel, data)[0]
 
 
-def loo_cv_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, np.ndarray]:
-    """Negative mean LOO log predictive density and its gradient in ``kernel.theta()``.
+def loo_cv_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, Callable[[], np.ndarray]]:
+    """Negative mean LOO log predictive density, and a callable giving its
+    gradient in ``kernel.theta()``.
 
     Each fold's predictive is the 1-D conditional of y_k given the remaining
     outputs under the joint N(0, K + sigma_n^2 I), read off the precision
     matrix P = K^-1 in O(N^3) total rather than refactoring per fold. The
-    gradient is GPML eq. 5.13 (Sundararajan & Keerthi 2001) with its per-fold
-    sums folded into one weight matrix, so every coordinate costs one
-    elementwise contraction with dK/dtheta_j.
+    gradient, computed only when the callable is called, is GPML eq. 5.13
+    (Sundararajan & Keerthi 2001) with its per-fold sums folded into one
+    weight matrix, so every coordinate costs one elementwise contraction
+    with dK/dtheta_j.
     """
     if data.n < 2:
         raise ValueError("leave-one-out requires at least two data points")
-    partials, _, precision = _output_precision(kernel, data)
+    gram, factor = _output_factor(kernel, data)
+    precision = cho_solve((factor, True), np.eye(data.n))
     q = np.diag(precision)
     alpha = precision @ data.y
     # fold k: mean y_k - alpha_k / q_k, variance 1 / q_k
     log_pred = -0.5 * (np.log(2.0 * np.pi / q) + alpha**2 / q)
-    # With a = alpha / q and c = (1 + alpha^2 / q) / (2 q), eq. 5.13 summed over
-    # the folds is  a^T P dK alpha - sum_k c_k (P dK P)_kk  =  sum(W * dK).
-    weights = np.outer(precision @ (alpha / q), alpha) - (
-        precision * (0.5 * (1.0 + alpha**2 / q) / q)
-    ) @ precision
-    grad = _contract(weights, partials)
-    return float(-np.mean(log_pred)), -grad / data.n
+
+    def grad() -> np.ndarray:
+        # With a = alpha / q and c = (1 + alpha^2 / q) / (2 q), eq. 5.13 summed over
+        # the folds is  a^T P dK alpha - sum_k c_k (P dK P)_kk  =  sum(W * dK).
+        weights = np.outer(precision @ (alpha / q), alpha) - (
+            precision * (0.5 * (1.0 + alpha**2 / q) / q)
+        ) @ precision
+        return -_contract(kernel, data, gram, weights) / data.n
+
+    return float(-np.mean(log_pred)), grad
 
 
 def loo_cv_objective(kernel: KernelSpec, data: Dataset) -> float:

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -19,11 +19,13 @@ from _oracles import (
     split_partition_indices,
 )
 from gpselect import (
+    AllPartitionsFailed,
     AscConfig,
     Criterion,
     Dataset,
     InsufficientData,
     KernelSpec,
+    KernelStructure,
     Partition,
     average_log_eta,
     kernel_matrix,
@@ -278,15 +280,22 @@ class TestSigmaDirectionalSanity:
 
 
 class TestAverageLogEta:
-    def test_single_partition_passthrough(self):
+    def test_single_partition_passthrough(self, monkeypatch):
         rng = np.random.default_rng(40)
         model, data = random_gp_instance(rng)
         part = random_partition(rng, data.n)
-        gram = kernel_matrix(model, data.X, data.X)
+        real = criteria.log_product_integral
+        seen = []
+
+        def recording(components):
+            seen.append(real(components))
+            return seen[-1]
+
+        monkeypatch.setattr(criteria, "log_product_integral", recording)
         for variant in ASC_CRITERIA:
             score = average_log_eta(model, data, [part], variant)
-            bayesian = variant is Criterion.BAYESIAN_ASC
-            assert score.value == criteria._log_eta(model, data, part, gram, bayesian)
+            assert seen[-1].shape == (1,)
+            assert score.value == seen[-1][0]
             assert score.n_failed == 0
 
     def test_identical_partitions_average_to_common_value(self):
@@ -336,12 +345,14 @@ class TestAverageLogEta:
         model, data = random_gp_instance(rng)
         parts = [random_partition(rng, data.n) for _ in range(3)]
         values = [log_eta(model, data, p) for p in parts]
-        real = criteria._log_eta
+        real = criteria.log_product_integral
 
-        def nan_for_second(kernel, data_, part, gram, bayesian):
-            return np.nan if part is parts[1] else real(kernel, data_, part, gram, bayesian)
+        def nan_for_second(components):
+            out = real(components)
+            out[1] = np.nan
+            return out
 
-        monkeypatch.setattr(criteria, "_log_eta", nan_for_second)
+        monkeypatch.setattr(criteria, "log_product_integral", nan_for_second)
         score = average_log_eta(model, data, parts, Criterion.BAYESIAN_ASC)
         assert score.n_failed == 1
         expected = logsumexp(np.sort([values[0], values[2]])) - np.log(2.0)
@@ -379,3 +390,51 @@ class TestDenseReference:
         for variant in ASC_CRITERIA:
             expected = dense_log_eta(model, data, part, variant is Criterion.BAYESIAN_ASC)
             assert log_eta(model, data, part, variant) == pytest.approx(expected, abs=1e-9)
+
+
+def single_or_nan(model, data, part, variant):
+    try:
+        return log_eta(model, data, part, variant)
+    except AllPartitionsFailed:
+        return np.nan
+
+
+class TestBatchMatchesSinglePartitions:
+    # The batched engine stacks partitions by anchor count and halves by
+    # size, so mixed M, odd N and swapped halves all exercise the grouping.
+    @given(
+        structure=st.sampled_from([s.value for s in KernelStructure]),
+        seed=st.integers(0, 2**32 - 1),
+        anchor_counts=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=8),
+        odd=st.booleans(),
+        duplicated=st.booleans(),
+    )
+    @example(structure="se", seed=7, anchor_counts=[2] * 8, odd=False, duplicated=True)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_list_is_log_mean_exp_of_single_partitions(self, structure, seed, anchor_counts, odd, duplicated):
+        rng = np.random.default_rng(seed)
+        n = 2 * int(rng.integers(3, 7)) + odd
+        if duplicated:
+            # pairs of identical inputs and outputs at vanishing noise, as in
+            # test_near_singular_instance_reports_failures_without_abort
+            x = np.repeat(np.arange((n + 1) // 2, dtype=float), 2)[:n]
+            y = np.repeat(rng.uniform(-0.3, 0.3, (n + 1) // 2), 2)[:n]
+            model = KernelSpec.create(
+                structure, lengthscale=1.0, signal=1.0, noise=1e-8, alpha=1.5, period=3.0
+            )
+            data = Dataset(x.reshape(1, -1), y)
+        else:
+            model, data = random_gp_instance(rng, n_lo=n, n_hi=n, structure=structure)
+        parts = [random_partition(rng, n, m) for m in anchor_counts]
+        parts = [swap(p) if rng.random() < 0.5 else p for p in parts]
+        for variant in ASC_CRITERIA:
+            singles = np.array([single_or_nan(model, data, p, variant) for p in parts])
+            finite = np.sort(singles[np.isfinite(singles)])
+            if not finite.size:
+                with pytest.raises(AllPartitionsFailed):
+                    average_log_eta(model, data, parts, variant)
+                continue
+            score = average_log_eta(model, data, parts, variant)
+            assert score.n_failed == len(parts) - finite.size
+            expected = float(logsumexp(finite) - np.log(finite.size))
+            assert score.value == pytest.approx(expected, rel=1e-10, abs=1e-10)

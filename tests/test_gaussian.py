@@ -192,6 +192,78 @@ class TestMaxentLinearMap:
             log_product_integral([(lam, r)])
 
 
+def random_stack(rng, j=5, m=2, n=6):
+    """A (J, m, n) map, (J, n) outputs and (J, n, n) SPD noise covariances."""
+    a = rng.standard_normal((j, m, n))
+    mu = rng.uniform(-1, 1, (j, n))
+    sigma = np.stack([random_spd(rng, n) for _ in range(j)])
+    return a, mu, sigma
+
+
+class TestBatchAxis:
+    # every routine with a leading batch axis equals its 2-D call slice by slice
+
+    def test_maxent_slices_match_2d_calls(self):
+        a, mu, sigma = random_stack(np.random.default_rng(13))
+        lam, r = maxent_linear_map_posterior(a, mu, sigma)
+        assert lam.shape == (5, 2, 2) and r.shape == (5, 2)
+        for k in range(5):
+            lam_k, r_k = maxent_linear_map_posterior(a[k], mu[k], sigma[k])
+            np.testing.assert_allclose(lam[k], lam_k, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(r[k], r_k, rtol=1e-14, atol=0)
+
+    def test_maxent_singular_slice_is_nan_where_2d_raises(self):
+        a, mu, sigma = random_stack(np.random.default_rng(14))
+        sigma[2] = np.array([[1.0, 2.0], [2.0, 1.0]]).repeat(3, 0).repeat(3, 1)  # indefinite
+        with pytest.raises(SingularCovariance):
+            maxent_linear_map_posterior(a[2], mu[2], sigma[2])
+        lam, r = maxent_linear_map_posterior(a, mu, sigma)
+        assert np.isnan(lam[2]).all() and np.isnan(r[2]).all()
+        for k in (0, 1, 3, 4):
+            lam_k, r_k = maxent_linear_map_posterior(a[k], mu[k], sigma[k])
+            np.testing.assert_allclose(lam[k], lam_k, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(r[k], r_k, rtol=1e-14, atol=0)
+
+    def test_maxent_jittered_slice_matches_2d_call(self):
+        # rank-1 plus a sliver of diagonal: only that slice takes the ladder
+        a, mu, sigma = random_stack(np.random.default_rng(15), n=2)
+        sigma[1] = np.ones((2, 2)) + 1e-17 * np.eye(2)
+        lam, r = maxent_linear_map_posterior(a, mu, sigma)
+        lam_1, r_1 = maxent_linear_map_posterior(a[1], mu[1], sigma[1])
+        np.testing.assert_allclose(lam[1], lam_1, rtol=1e-12)
+        np.testing.assert_allclose(r[1], r_1, rtol=1e-12)
+
+    def test_product_integral_slices_match_2d_calls(self):
+        rng = np.random.default_rng(16)
+        comps = [
+            (np.stack([random_spd(rng, 2) for _ in range(4)]), rng.uniform(-1, 1, (4, 2)))
+            for _ in range(3)
+        ]
+        values = log_product_integral(comps)
+        assert values.shape == (4,)
+        for k in range(4):
+            expected = log_product_integral([(lam[k], r[k]) for lam, r in comps])
+            assert values[k] == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+    def test_product_integral_rank_deficient_slice_is_nan_where_2d_raises(self):
+        rng = np.random.default_rng(17)
+        lam = np.stack([random_spd(rng, 2) for _ in range(3)])
+        lam[1] = np.ones((2, 2)) * 1e8  # rank 1
+        comps = [(lam, np.zeros((3, 2))), (np.stack([np.eye(2)] * 3), np.zeros((3, 2)))]
+        with pytest.raises(RankDeficient):
+            log_product_integral([(c[0][1], c[1][1]) for c in comps])
+        values = log_product_integral(comps)
+        assert np.isnan(values[1])
+        for k in (0, 2):
+            assert values[k] == log_product_integral([(c[0][k], c[1][k]) for c in comps])
+
+    def test_batched_mismatched_dimensions_rejected(self):
+        with pytest.raises(ValueError):
+            log_product_integral(
+                [(np.ones((3, 2, 2)), np.zeros((3, 2))), (np.ones((2, 2, 2)), np.zeros((2, 2)))]
+            )
+
+
 class TestGaussianDistValidation:
     def test_asymmetric_covariance_rejected(self):
         cov = np.array([[1.0, 0.5], [0.2, 1.0]])

@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpselect import KernelSpec, KernelStructure, kernel_matrix, noisy_kernel_matrix
+from scipy.stats import multivariate_normal
+
+from gpselect import Dataset, KernelSpec, KernelStructure, kernel_matrix, log_evidence, noisy_kernel_matrix
 from gpselect.kernels import gram_from_sq_dists, gram_partials, pairwise_sq_dists
 
 ALL_STRUCTURES = [s.value for s in KernelStructure]
@@ -157,6 +160,42 @@ class TestPartialsWellDefined:
             assert not np.isnan(partial[np.isfinite(gram)]).any()
             # an underflowed Gram entry has the exact limit 0 as its partial
             assert np.all(partial[gram == 0.0] == 0.0)
+
+
+class TestRqUnderflow:
+    # log lengthscale = log alpha = -300 puts 2 alpha ell^2 below the float
+    # range; alpha log(1 + u) still tends to 0, so every entry tends to the
+    # signal variance 1 (the diagonal was NaN, 0/0, and the rest 0)
+    LOG_PARAMS = np.array([-300.0, 0.0, -300.0])
+
+    def points(self):
+        return np.random.default_rng(0).uniform(0, 10, (1, 16))
+
+    def test_gram_is_its_exact_limit(self):
+        spec = KernelSpec("rq", self.LOG_PARAMS, 0.0)
+        np.testing.assert_array_equal(kernel_matrix(spec, self.points(), self.points()), 1.0)
+
+    def test_partials_match_extended_precision(self):
+        x = self.points()
+        spec = KernelSpec("rq", self.LOG_PARAMS, 0.0)
+        sq = pairwise_sq_dists(x, x)
+        partials = gram_partials(spec, sq, gram_from_sq_dists(spec, sq))
+        with mpmath.workdps(50):
+            ell, alpha = mpmath.e ** -300, mpmath.e ** -300
+            for i, j in [(0, 0), (0, 1), (3, 11)]:
+                u = mpmath.mpf(sq[i, j]) / (2 * alpha * ell**2)
+                gram = (1 + u) ** (-alpha)
+                ratio = u / (1 + u)
+                expected = [2 * alpha * gram * ratio, 2 * gram, alpha * gram * (ratio - mpmath.log1p(u))]
+                for partial, exact in zip(partials, expected):
+                    assert partial[i, j] == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+    def test_evidence_is_finite(self):
+        x = self.points()
+        y = np.random.default_rng(1).standard_normal(16)
+        spec = KernelSpec("rq", self.LOG_PARAMS, 0.0)  # sigma_n = 1
+        expected = multivariate_normal(np.zeros(16), np.ones((16, 16)) + np.eye(16)).logpdf(y)
+        assert log_evidence(spec, Dataset(x, y)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSpecValidation:

@@ -214,6 +214,68 @@ class TestOptimize:
         repeats = sum(np.array_equal(a, b) for a, b in zip(visited, visited[1:]))
         assert repeats == 0
 
+    @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO])
+    def test_gradient_only_after_sufficient_decrease(self, monkeypatch, criterion):
+        import importlib
+
+        optimize_module = importlib.import_module("gpselect.optimize")
+        seam = {
+            Criterion.EVIDENCE: "log_evidence_and_grad",
+            Criterion.LOO: "loo_cv_and_grad",
+        }[criterion]
+        exact = getattr(optimize_module, seam)
+        real_lbfgs = optimize_module.lbfgs_minimize
+        real_search = optimize_module._wolfe_search
+        state = {"jac_calls": 0, "asking": False, "evals": 0, "grads": 0}
+
+        def counting(model, data):
+            value, grad = exact(model, data)
+            state["evals"] += 1
+
+            def counted_grad():
+                # computed only inside a gradient request from L-BFGS
+                assert state["asking"]
+                state["grads"] += 1
+                return grad()
+
+            return value, counted_grad
+
+        def lbfgs(f, jac, x0, **kwargs):
+            def asked(theta):
+                state["asking"] = True
+                try:
+                    return jac(theta)
+                finally:
+                    state["asking"] = False
+
+            return real_lbfgs(f, asked, x0, **kwargs)
+
+        def search(f_line, grad_dot, phi0, dphi0, *args, **kwargs):
+            seen = {}
+
+            def f_rec(alpha):
+                seen[alpha] = f_line(alpha)
+                return seen[alpha]
+
+            def g_checked(alpha):
+                # the Armijo condition with _wolfe_search's default c1
+                assert seen[alpha] <= phi0 + 1e-4 * alpha * dphi0
+                state["jac_calls"] += 1
+                return grad_dot(alpha)
+
+            return real_search(f_rec, g_checked, phi0, dphi0, *args, **kwargs)
+
+        monkeypatch.setattr(optimize_module, seam, counting)
+        monkeypatch.setattr(optimize_module, "lbfgs_minimize", lbfgs)
+        monkeypatch.setattr(optimize_module, "_wolfe_search", search)
+        rng = np.random.default_rng(8)
+        model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
+        result = optimize(criterion, se_template(), data, 3, seed=4)
+        assert np.isfinite(result.objective_value)
+        # one gradient per restart's start, and one per line-search point that passed
+        assert state["grads"] == state["jac_calls"] + 3
+        assert state["grads"] < state["evals"]
+
     def test_evidence_recovers_teacher_scale(self):
         # single-replicate smoke: the full recovery study is in acceptance
         teacher = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.1)
