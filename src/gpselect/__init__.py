@@ -16,7 +16,6 @@ from .errors import (
     GpSelectError,
     InsufficientData,
     OptimizationFailed,
-    RankDeficient,
     SchemaError,
     SingularCovariance,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "OptResult",
     "OptimizationFailed",
     "Partition",
-    "RankDeficient",
     "RankingReport",
     "SchemaError",
     "SingularCovariance",

@@ -7,11 +7,11 @@ from two random halves of the data agree at a small set of anchor inputs.
 The beta-noise variant uses a maximum-entropy posterior built from the
 likelihood alone (unit inverse temperature, so the noise level plays the role
 of the temperature); the Bayesian variant multiplies it by the zero-mean GP
-prior. One routine builds both in information form, where multiplying by the
-prior adds its precision, and integrates their product with the prior in
-closed form. It evaluates all partitions of a call at once, as stacked
-arrays gathered from one Gram matrix; a partition whose factorization fails
-becomes a NaN in the stack and is counted as failed.
+prior, which in information form adds its precision. One routine builds both
+and integrates their product with the prior in closed form, for all J
+partitions of a call at once: they share one anchor count M, and every step
+works on ``(J, ...)`` stacks gathered from one Gram matrix. A partition whose
+factorization fails is a NaN in the stack and counts as failed.
 """
 
 from __future__ import annotations
@@ -126,25 +126,40 @@ def _blocks(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.take(gram, rows[:, :, None] * gram.shape[1] + cols[:, None, :])
 
 
-def _log_eta_stack(
-    kernel: KernelSpec, data: Dataset, parts: list[Partition], gram, bayesian: bool
-) -> np.ndarray:
-    """log agreement of each partition, all sharing one anchor count M; NaN where one fails.
+def average_log_eta(
+    kernel: KernelSpec,
+    data: Dataset,
+    parts: list[Partition],
+    criterion: Criterion,
+) -> AscScore:
+    """log of the mean agreement over partitions, skipping numerical failures.
 
     Given the anchor latents f, half i's outputs are N(A^T f, Sigma_i) with
     A = K_aa^-1 K_ai and Sigma_i = K_ii + sigma_n^2 I - K_ia A. Normalized
     over f, that likelihood has precision A Sigma_i^-1 A^T and shift
     A Sigma_i^-1 y_i; the Bayesian half posterior adds the prior precision
-    K_aa^-1. The prior itself is the third component. Every step works on
-    stacks: the anchor blocks ``(J, M, M)`` at once, and the halves grouped
-    by size, so that both halves of an odd N and swapped halves stack too.
+    K_aa^-1. The prior itself is the third component. The partitions must
+    share one anchor count; halves are stacked by size, so odd N and swapped
+    halves work too.
+
+    The mean is of the agreements themselves (not their logs), by log-sum-exp
+    over the sorted per-partition values, so it does not depend on evaluation
+    order. A partition whose factorization fails or whose value is not finite
+    counts as failed. Raises AllPartitionsFailed only if no partition survives.
     """
-    values = np.full(len(parts), np.nan)
+    criterion = Criterion(criterion)
+    if not criterion.is_asc:
+        raise ValueError(f"{criterion.value} is not an agreement criterion")
+    if not parts:
+        raise ValueError("need at least one partition")
+    if len({p.anchor_idx.size for p in parts}) > 1:
+        raise ValueError("all partitions must have the same number of anchors")
+    gram = gram_from_sq_dists(kernel, data.sq_dists)
     anchors = np.array([p.anchor_idx for p in parts])  # (J, M)
-    factor = chol_stack(_blocks(gram, anchors, anchors), "anchor covariance")
+    factor = chol_stack(_blocks(gram, anchors, anchors))
     ok = np.flatnonzero(np.isfinite(factor).all(axis=(1, 2)))
     if not ok.size:
-        return values
+        raise AllPartitionsFailed(len(parts))
     anchors, factor = anchors[ok], factor[ok]
     m = anchors.shape[1]
     halves = [
@@ -163,41 +178,12 @@ def _log_eta_stack(
         sigma -= np.swapaxes(cross, 1, 2) @ a_map
         lam[which, rows], r[which, rows] = maxent_linear_map_posterior(a_map, data.y[idx], sigma)
     prior_precision = cho_solve_stack(factor, np.broadcast_to(np.eye(m), factor.shape))  # K_aa^-1
-    if bayesian:
+    if criterion is Criterion.BAYESIAN_ASC:
         lam += prior_precision
+    values = np.full(len(parts), np.nan)
     values[ok] = log_product_integral(
         [(lam[0], r[0]), (lam[1], r[1]), (prior_precision, np.zeros((ok.size, m)))]
     )
-    return values
-
-
-def average_log_eta(
-    kernel: KernelSpec,
-    data: Dataset,
-    parts: list[Partition],
-    criterion: Criterion,
-) -> AscScore:
-    """log of the mean agreement over partitions, skipping numerical failures.
-
-    All partitions with the same anchor count are evaluated together as
-    stacked arrays, from one Gram matrix. The mean is of the agreements
-    themselves (not their logs), computed by log-sum-exp over the sorted
-    per-partition values so the result does not depend on evaluation order.
-    A partition whose factorization fails or whose value is not finite counts
-    as failed. Raises AllPartitionsFailed only if no partition survives.
-    """
-    criterion = Criterion(criterion)
-    if not criterion.is_asc:
-        raise ValueError(f"{criterion.value} is not an agreement criterion")
-    if not parts:
-        raise ValueError("need at least one partition")
-    bayesian = criterion is Criterion.BAYESIAN_ASC
-    gram = gram_from_sq_dists(kernel, data.sq_dists)
-    sizes = np.array([p.anchor_idx.size for p in parts])
-    values = np.empty(len(parts))
-    for m in np.unique(sizes):
-        js = np.flatnonzero(sizes == m)
-        values[js] = _log_eta_stack(kernel, data, [parts[j] for j in js], gram, bayesian)
     ordered = np.sort(values[np.isfinite(values)])
     if not ordered.size:
         raise AllPartitionsFailed(len(parts))

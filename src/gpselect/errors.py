@@ -17,10 +17,6 @@ class SingularCovariance(GpSelectError):
         self.smallest_pivot = smallest_pivot
 
 
-class RankDeficient(GpSelectError):
-    """A linear map required to have full row rank does not."""
-
-
 class InsufficientData(GpSelectError):
     """Too few data points for the requested partition layout."""
 

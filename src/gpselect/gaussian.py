@@ -3,8 +3,8 @@
 Conditioning works in moment form (mean, covariance). The agreement integrals
 work in information form (precision Lambda, shift r = Lambda mean), in which
 products of Gaussians add and no precision is ever inverted. Their routines
-take an optional leading batch axis and then work on a whole stack at once:
-a slice that cannot be factored becomes NaN where the 2-D call would raise.
+take only stacks of J problems, ``(J, n, n)`` matrices and ``(J, n)``
+vectors, and reject an unstacked argument; a slice that cannot factor is NaN.
 ``chol_spd`` factors one matrix; ``chol_stack`` factors a stack the same way.
 Everything works in log space; raw densities are never multiplied. All types
 are immutable after construction and safe to share across threads.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, ldl, solve_triangular
 
-from .errors import RankDeficient, SingularCovariance
+from .errors import SingularCovariance
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -117,7 +117,7 @@ def condition(factor, cross, cov_target, observed, name: str = "conditional cova
 
 
 def _cholesky_slices(sym: np.ndarray, rescue) -> np.ndarray:
-    """Lower Cholesky factors of a symmetric ``(..., n, n)`` stack.
+    """Lower Cholesky factors of a symmetric ``(J, n, n)`` stack.
 
     One batched factorization serves the common case. If it fails, each slice
     is factored alone, and ``rescue(slice)`` gives the factor of a slice that
@@ -127,17 +127,16 @@ def _cholesky_slices(sym: np.ndarray, rescue) -> np.ndarray:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         pass
-    flat = sym.reshape((-1,) + sym.shape[-2:])
-    factors = np.empty_like(flat)
-    for j, mat in enumerate(flat):
+    factors = np.empty_like(sym)
+    for j, mat in enumerate(sym):
         try:
             factors[j] = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
             factors[j] = rescue(mat)
-    return factors.reshape(sym.shape)
+    return factors
 
 
-def chol_stack(mats: np.ndarray, name: str = "covariance") -> np.ndarray:
+def chol_stack(mats: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a ``(J, n, n)`` stack, each as :func:`chol_spd` gives it.
 
     Only the slices that do not factor as they are go through ``chol_spd``'s
@@ -147,7 +146,7 @@ def chol_stack(mats: np.ndarray, name: str = "covariance") -> np.ndarray:
 
     def rescue(mat):
         try:
-            return chol_spd(mat, name)[0]
+            return chol_spd(mat)[0]
         except SingularCovariance:
             return np.full_like(mat, np.nan)
 
@@ -177,83 +176,56 @@ def cho_solve_stack(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solve_lower(flipped, solve_lower(factors, rhs)[..., ::-1, :])[..., ::-1, :]
 
 
-def log_product_integral(components):
-    """log of  integral prod_k p_k(x) dx  for Gaussians in information form.
+def log_product_integral(components) -> np.ndarray:
+    """log of  integral prod_k p_k(x) dx  for stacks of Gaussians in information form.
 
-    Each component is a pair ``(Lambda_k, r_k)``, the density with precision
-    Lambda_k and mean Lambda_k^-1 r_k. The log integral is
+    Each component is a pair ``(Lambda_k, r_k)`` of a ``(J, n, n)`` precision
+    stack and a ``(J, n)`` shift stack: slice j is the density with precision
+    Lambda_k[j] and mean Lambda_k[j]^-1 r_k[j]. The log integral of slice j is
     ``sum_k log p_k(0) - log p_*(0)``, where p_* has precision sum_k Lambda_k
     and shift sum_k r_k, and ``log p(0) = -1/2 (n log 2 pi + |L^-1 r|^2) +
     log|L|`` for the strict (unjittered) factor L of Lambda.
 
-    With 2-D precisions ``(n, n)`` and shifts ``(n,)`` the result is a float;
-    a precision that is not positive-definite raises :class:`RankDeficient`.
-    With a leading batch axis, ``(J, n, n)`` and ``(J, n)``, it is a ``(J,)``
-    array and such a slice is NaN. Either way a non-finite precision yields a
-    non-finite value.
+    Returns a ``(J,)`` array. A slice whose precision is not positive-definite
+    is NaN; a non-finite precision yields a non-finite value.
     """
     if not components:
         raise ValueError("need at least one component")
     lams = [np.asarray(lam, dtype=float) for lam, _ in components]
-    batched = lams[0].ndim == 3
-    if batched:
-        rs = [np.asarray(r, dtype=float) for _, r in components]
-    else:
-        lams = [lam[None] for lam in lams]
-        rs = [np.asarray(r, dtype=float).reshape(1, -1) for _, r in components]
-    shape = rs[0].shape
-    if any(lam.shape != shape + shape[-1:] or r.shape != shape for lam, r in zip(lams, rs)):
-        raise ValueError("components have mismatched dimensions")
-    lam = np.stack(lams + [sum(lams)])  # (K + 1, J, n, n), the product's last
-    r = np.stack(rs + [sum(rs)])
-
-    def rescue(mat):  # no jitter, which would mask a rank-deficient precision
-        if not batched:
-            raise RankDeficient("precision is not positive-definite")
-        return np.full_like(mat, np.nan)
-
-    factor = _cholesky_slices(0.5 * (lam + np.swapaxes(lam, -1, -2)), rescue)
+    rs = [np.asarray(r, dtype=float) for _, r in components]
+    shape = rs[0].shape  # (J, n)
+    if len(shape) != 2 or any(lam.shape != shape + shape[1:] or r.shape != shape for lam, r in zip(lams, rs)):
+        raise ValueError("components must be (J, n, n) precision and (J, n) shift stacks of one shape")
+    lam = np.concatenate(lams + [sum(lams)])  # ((K + 1) J, n, n), the product's J last
+    r = np.concatenate(rs + [sum(rs)])
+    # no jitter, which would mask a rank-deficient precision
+    factor = _cholesky_slices(0.5 * (lam + np.swapaxes(lam, 1, 2)), lambda mat: np.full_like(mat, np.nan))
     z = solve_lower(factor, r[..., None])[..., 0]
-    log_diag = np.log(np.diagonal(factor, axis1=-2, axis2=-1))
-    at_zero = -0.5 * (shape[-1] * _LOG_2PI + np.sum(z * z, axis=-1)) + np.sum(log_diag, axis=-1)
-    value = np.sum(at_zero[:-1], axis=0) - at_zero[-1]
-    return value if batched else float(value[0])
+    log_diag = np.log(np.diagonal(factor, axis1=1, axis2=2))
+    at_zero = -0.5 * (shape[1] * _LOG_2PI + np.sum(z * z, axis=-1)) + np.sum(log_diag, axis=-1)
+    at_zero = at_zero.reshape(-1, shape[0])  # (K + 1, J)
+    return np.sum(at_zero[:-1], axis=0) - at_zero[-1]
 
 
 def maxent_linear_map_posterior(A, mu, sigma) -> tuple[np.ndarray, np.ndarray]:
     """Information form of N(A^T x | mu, Sigma), normalized as a density over x.
 
-    Returns ``(Lambda, r)`` with ``Lambda = A Sigma^-1 A^T`` and
-    ``r = A Sigma^-1 mu``; the density is N(x | Lambda^-1 r, Lambda^-1). It is
-    proper only if ``A`` (m x n) has full row rank. A rank-deficient map gives a
-    singular Lambda, which :func:`log_product_integral` rejects.
-
-    With a leading batch axis (``A`` of shape ``(J, m, n)``, ``mu`` ``(J, n)``
-    and ``Sigma`` ``(J, n, n)``) every slice is done at once. Then a Sigma
-    that :func:`chol_spd` cannot factor gives NaN in its slice, where a 2-D
-    call raises :class:`SingularCovariance`.
+    Takes stacks ``A`` ``(J, m, n)``, ``mu`` ``(J, n)`` and ``Sigma``
+    ``(J, n, n)``; returns ``(Lambda, r)``, ``(J, m, m)`` and ``(J, m)``, with
+    ``Lambda = A Sigma^-1 A^T`` and ``r = A Sigma^-1 mu``: slice j is the
+    density N(x | Lambda^-1 r, Lambda^-1), proper only if ``A[j]`` has full
+    row rank. :func:`log_product_integral` gives NaN for the singular Lambda
+    of a rank-deficient map. A Sigma that :func:`chol_spd` cannot factor gives
+    NaN in its slice.
     """
-    A = np.asarray(A, dtype=float)
-    batched = A.ndim == 3
-    if batched:
-        mu = np.asarray(mu, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-    else:
-        A = np.atleast_2d(A)[None]
-        mu = np.asarray(mu, dtype=float).reshape(1, -1)
-        sigma = np.asarray(sigma, dtype=float)[None]
-    m, n = A.shape[-2:]
+    A, mu, sigma = (np.asarray(v, dtype=float) for v in (A, mu, sigma))
+    if A.ndim != 3 or mu.shape != (A.shape[0], A.shape[2]) or sigma.shape != mu.shape + mu.shape[1:]:
+        raise ValueError("need a (J, m, n) map stack, (J, n) means and (J, n, n) covariances")
+    m, n = A.shape[1:]
     if m > n:
         raise ValueError(f"map has more rows ({m}) than columns ({n}); cannot have full row rank")
-    if mu.shape[-1] != n:
-        raise ValueError(f"vector length {mu.shape[-1]} does not match map columns {n}")
-    if batched:
-        factor = chol_stack(sigma, "noise covariance")
-    else:
-        factor = chol_spd(sigma[0], "noise covariance")[0][None]
+    factor = chol_stack(sigma)
     # with B = L^-1 A^T and b = L^-1 mu: Lambda = B^T B and r = B^T b
     solved = solve_lower(factor, np.concatenate([np.swapaxes(A, -1, -2), mu[..., None]], axis=-1))
     b_map = np.swapaxes(solved[..., :m], -1, -2)
-    lam = b_map @ solved[..., :m]
-    r = (b_map @ solved[..., m:])[..., 0]
-    return (lam, r) if batched else (lam[0], r[0])
+    return b_map @ solved[..., :m], (b_map @ solved[..., m:])[..., 0]

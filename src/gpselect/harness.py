@@ -73,7 +73,7 @@ class ExperimentConfig:
             raise ValueError(f"n_test={self.n_test}, need at least one test point")
         if self.restarts < 1:
             raise ValueError("need at least one optimizer restart")
-        if self.n_train < 2 * self.asc.M:
+        if any(c.is_asc for c in self.criteria) and self.n_train < 2 * self.asc.M:
             raise ValueError(f"n_train={self.n_train} too small for M={self.asc.M}")
         if self.fit_criterion.is_asc:
             raise ValueError("hyperparameters are fitted by evidence or leave-one-out only")
@@ -144,7 +144,9 @@ def _midranks(values, higher_better: bool) -> np.ndarray:
 def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=None) -> ReplicateResult:
     """Fit and score all student kernels on one train/test replicate."""
     base = cfg.seed if seed is None else seed
-    parts = sample_partitions(train.n, replace(cfg.asc, seed=derived_seed(base, 1)))
+    parts = None
+    if any(c.is_asc for c in cfg.criteria):
+        parts = sample_partitions(train.n, replace(cfg.asc, seed=derived_seed(base, 1)))
     names = [s.value for s in cfg.students]
     scores: dict = {col: {} for col in cfg.columns}
     asc_fracs: dict = {}

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .criteria import AscScore, Criterion, average_log_eta
-from .errors import AllPartitionsFailed, OptimizationFailed, RankDeficient, SingularCovariance
+from .errors import AllPartitionsFailed, OptimizationFailed, SingularCovariance
 from .kernels import KernelSpec
 from .regression import (
     Dataset,
@@ -28,7 +28,7 @@ from .regression import (
     loo_cv_objective,
 )
 
-_NUMERICAL_FAILURES = (SingularCovariance, RankDeficient, AllPartitionsFailed)
+_NUMERICAL_FAILURES = (SingularCovariance, AllPartitionsFailed)
 
 # Any |theta| beyond this would overflow/underflow exp(); treat as failed.
 _THETA_BOUND = 300.0
@@ -39,6 +39,11 @@ _HISTORY = 10
 _GTOL = 1e-5
 _STALL_RTOL = 1e-9
 _STALL_WINDOW = 3
+
+# Strong Wolfe line search: sufficient-decrease and curvature constants, the
+# largest step, and the iteration caps of the bracketing and zoom phases.
+_C1, _C2, _ALPHA_MAX = 1e-4, 0.9, 1e3
+_SEARCH_ITERS, _ZOOM_ITERS = 25, 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,17 +97,17 @@ class MinimizeResult:
     n_iter: int
 
 
-def _zoom(f, grad_dot, lo, hi, phi_lo, phi0, dphi0, c1, c2, max_iter=30):
+def _zoom(f, grad_dot, lo, hi, phi_lo, phi0, dphi0):
     """Refine a bracketing interval until the strong Wolfe conditions hold."""
     result = None
-    for _ in range(max_iter):
+    for _ in range(_ZOOM_ITERS):
         alpha = 0.5 * (lo + hi)
         phi_a = f(alpha)
-        if not np.isfinite(phi_a) or phi_a > phi0 + c1 * alpha * dphi0 or phi_a >= phi_lo:
+        if not np.isfinite(phi_a) or phi_a > phi0 + _C1 * alpha * dphi0 or phi_a >= phi_lo:
             hi = alpha
         else:
             dphi_a, g_a = grad_dot(alpha)
-            if abs(dphi_a) <= -c2 * dphi0:
+            if abs(dphi_a) <= -_C2 * dphi0:
                 return alpha, phi_a, g_a
             if dphi_a * (hi - lo) >= 0:
                 hi = lo
@@ -114,23 +119,23 @@ def _zoom(f, grad_dot, lo, hi, phi_lo, phi0, dphi0, c1, c2, max_iter=30):
     return result
 
 
-def _wolfe_search(f_line, grad_dot, phi0, dphi0, c1=1e-4, c2=0.9, alpha_max=1e3, max_iter=25):
+def _wolfe_search(f_line, grad_dot, phi0, dphi0):
     """Strong Wolfe line search; returns (alpha, f, gradient) or None."""
     alpha_prev, phi_prev = 0.0, phi0
     alpha = 1.0
-    for i in range(max_iter):
+    for i in range(_SEARCH_ITERS):
         phi_a = f_line(alpha)
-        if not np.isfinite(phi_a) or phi_a > phi0 + c1 * alpha * dphi0 or (i > 0 and phi_a >= phi_prev):
-            return _zoom(f_line, grad_dot, alpha_prev, alpha, phi_prev, phi0, dphi0, c1, c2)
+        if not np.isfinite(phi_a) or phi_a > phi0 + _C1 * alpha * dphi0 or (i > 0 and phi_a >= phi_prev):
+            return _zoom(f_line, grad_dot, alpha_prev, alpha, phi_prev, phi0, dphi0)
         dphi_a, g_a = grad_dot(alpha)
-        if abs(dphi_a) <= -c2 * dphi0:
+        if abs(dphi_a) <= -_C2 * dphi0:
             return alpha, phi_a, g_a
         if dphi_a >= 0:
-            return _zoom(f_line, grad_dot, alpha, alpha_prev, phi_a, phi0, dphi0, c1, c2)
+            return _zoom(f_line, grad_dot, alpha, alpha_prev, phi_a, phi0, dphi0)
         alpha_prev, phi_prev = alpha, phi_a
-        if alpha >= alpha_max:
+        if alpha >= _ALPHA_MAX:
             return alpha, phi_a, g_a
-        alpha = min(2.0 * alpha, alpha_max)
+        alpha = min(2.0 * alpha, _ALPHA_MAX)
     return None
 
 

@@ -144,7 +144,7 @@ def predict(kernel: KernelSpec, train: Dataset, xstar) -> GaussianDist:
     xstar = np.atleast_2d(np.asarray(xstar, dtype=float))
     if xstar.shape[1] < 1:
         raise ValueError("prediction requires at least one test input")
-    factor, _ = chol_spd(noisy_kernel_matrix(kernel, train.X), "training covariance")
+    _, factor = _output_factor(kernel, train)
     cross = kernel_matrix(kernel, train.X, xstar)  # (N, P)
     return condition(
         factor, cross, noisy_kernel_matrix(kernel, xstar), train.y, "predictive covariance"

@@ -246,6 +246,14 @@ class TestRank:
             tmp_path / "b" / "rank_out.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("criteria,code", [("evidence,loo", 0), ("evidence,bnasc", 2)])
+    def test_small_n_train_rejected_only_with_agreement_criteria(self, synth_files, tmp_path, criteria, code):
+        train, _ = synth_files
+        args = ["rank", "--data", str(train), "--criteria", criteria, "--n-train", "3"]
+        args += ["--students", "se", "--replicates", "1", "--restarts", "1", "--n-test", "4"]
+        assert main(args + ["--out", str(tmp_path / "r")]) == code
+        assert (tmp_path / "r.json").exists() == (code == 0)
+
     def test_requires_teacher_or_data(self, tmp_path):
         code = main(["rank", "--out", str(tmp_path / "r")])
         assert code == 2

@@ -215,11 +215,14 @@ class TestLogEtaBayesian:
             cross = kernel_matrix(model, anchors, data.X[:, idx])
             a_map = prior_precision @ cross
             sigma = noisy_kernel_matrix(model, data.X[:, idx]) - cross.T @ a_map
-            lam, r = maxent_linear_map_posterior(a_map, data.y[idx], 0.5 * (sigma + sigma.T))
-            cov = np.linalg.inv(prior_precision + lam)
+            # one problem, as a J=1 stack
+            lam, r = maxent_linear_map_posterior(
+                a_map[None], data.y[idx][None], 0.5 * (sigma + sigma.T)[None]
+            )
+            cov = np.linalg.inv(prior_precision + lam[0])
             mean, expected_cov = half_posterior(model, data, part, which)
             np.testing.assert_allclose(cov, expected_cov, atol=1e-10)
-            np.testing.assert_allclose(cov @ r, mean, atol=1e-10)
+            np.testing.assert_allclose(cov @ r[0], mean, atol=1e-10)
 
 
 class TestLogEtaBetaNoise:
@@ -358,6 +361,14 @@ class TestAverageLogEta:
         expected = logsumexp(np.sort([values[0], values[2]])) - np.log(2.0)
         assert score.value == pytest.approx(float(expected), abs=1e-12)
 
+    def test_mixed_anchor_counts_rejected(self):
+        rng = np.random.default_rng(45)
+        model, data = random_gp_instance(rng)
+        parts = [random_partition(rng, data.n, m=1), random_partition(rng, data.n, m=2)]
+        for variant in ASC_CRITERIA:
+            with pytest.raises(ValueError, match="same number of anchors"):
+                average_log_eta(model, data, parts, variant)
+
     def test_far_anchor_partitions_fail_without_abort(self):
         # the point a bnasc fit of synth seed 12 reaches: in partition 5 an
         # anchor has no point of the other half within reach, so its row of
@@ -400,18 +411,20 @@ def single_or_nan(model, data, part, variant):
 
 
 class TestBatchMatchesSinglePartitions:
-    # The batched engine stacks partitions by anchor count and halves by
-    # size, so mixed M, odd N and swapped halves all exercise the grouping.
+    # The batched engine stacks all partitions of a call, which share one
+    # anchor count, and groups their halves by size, so odd N and swapped
+    # halves exercise the grouping.
     @given(
         structure=st.sampled_from([s.value for s in KernelStructure]),
         seed=st.integers(0, 2**32 - 1),
-        anchor_counts=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=8),
+        m=st.sampled_from([1, 2]),
+        count=st.integers(1, 8),
         odd=st.booleans(),
         duplicated=st.booleans(),
     )
-    @example(structure="se", seed=7, anchor_counts=[2] * 8, odd=False, duplicated=True)
+    @example(structure="se", seed=7, m=2, count=8, odd=False, duplicated=True)
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_list_is_log_mean_exp_of_single_partitions(self, structure, seed, anchor_counts, odd, duplicated):
+    def test_list_is_log_mean_exp_of_single_partitions(self, structure, seed, m, count, odd, duplicated):
         rng = np.random.default_rng(seed)
         n = 2 * int(rng.integers(3, 7)) + odd
         if duplicated:
@@ -425,7 +438,7 @@ class TestBatchMatchesSinglePartitions:
             data = Dataset(x.reshape(1, -1), y)
         else:
             model, data = random_gp_instance(rng, n_lo=n, n_hi=n, structure=structure)
-        parts = [random_partition(rng, n, m) for m in anchor_counts]
+        parts = [random_partition(rng, n, m) for _ in range(count)]
         parts = [swap(p) if rng.random() < 0.5 else p for p in parts]
         for variant in ASC_CRITERIA:
             singles = np.array([single_or_nan(model, data, p, variant) for p in parts])

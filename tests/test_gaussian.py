@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from _oracles import (
     log_integral_1d,
@@ -12,7 +13,6 @@ from _oracles import (
 )
 from gpselect import (
     GaussianDist,
-    RankDeficient,
     SingularCovariance,
     log_product_integral,
     maxent_linear_map_posterior,
@@ -82,14 +82,30 @@ def info_form(mean, cov):
     return precision, precision @ np.asarray(mean, dtype=float)
 
 
+def one(arr):
+    """``arr`` as a stack of one, J=1."""
+    return np.asarray(arr, dtype=float)[None]
+
+
+def single_integral(components):
+    """log_product_integral of one problem, called as a J=1 stack."""
+    return log_product_integral([(one(lam), one(r)) for lam, r in components])[0]
+
+
+def single_maxent(a, mu, sigma):
+    """maxent_linear_map_posterior of one problem, called as a J=1 stack."""
+    lam, r = maxent_linear_map_posterior(one(a), one(mu), one(sigma))
+    return lam[0], r[0]
+
+
 class TestProductIntegral:
     def test_single_component_integrates_to_one(self):
         rng = np.random.default_rng(7)
         comp = info_form(rng.uniform(-1, 1, 3), random_spd(rng, 3))
-        assert log_product_integral([comp]) == pytest.approx(0.0, abs=1e-10)
+        assert single_integral([comp]) == pytest.approx(0.0, abs=1e-10)
 
     def test_two_standard_normals(self):
-        value = log_product_integral([std_normal(), std_normal()])
+        value = single_integral([std_normal(), std_normal()])
         expected = log_integral_1d(
             lambda f: 2 * (-0.5 * (LOG_2PI + f * f)), -10.0, 10.0
         )
@@ -97,7 +113,7 @@ class TestProductIntegral:
         assert value == pytest.approx(expected, abs=1e-8)
 
     def test_three_standard_normals(self):
-        value = log_product_integral([std_normal()] * 3)
+        value = single_integral([std_normal()] * 3)
         assert math.exp(value) == pytest.approx(0.091888, abs=1e-6)
         expected = log_integral_1d(
             lambda f: 3 * (-0.5 * (LOG_2PI + f * f)), -10.0, 10.0
@@ -119,7 +135,7 @@ class TestProductIntegral:
             hi = max(m + 12 * math.sqrt(v) for m, v in moments)
             expected = log_integral_1d(log_f, lo, hi)
             comps = [info_form([m], [[v]]) for m, v in moments]
-            assert abs(log_product_integral(comps) - expected) < 1e-6
+            assert abs(single_integral(comps) - expected) < 1e-6
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -127,24 +143,24 @@ class TestProductIntegral:
 
     def test_non_finite_precision_gives_non_finite_value(self):
         # counted as a failed partition by average_log_eta, not raised
-        assert not np.isfinite(log_product_integral([(np.array([[np.nan]]), np.zeros(1))]))
+        assert not np.isfinite(single_integral([(np.array([[np.nan]]), np.zeros(1))]))
 
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            log_product_integral([std_normal(1), std_normal(2)])
+            single_integral([std_normal(1), std_normal(2)])
 
 
 class TestMaxentLinearMap:
     def test_identity_map(self):
         rng = np.random.default_rng(10)
         mu = rng.uniform(-1, 1, 3)
-        lam, r = maxent_linear_map_posterior(np.eye(3), mu, np.eye(3))
+        lam, r = single_maxent(np.eye(3), mu, np.eye(3))
         np.testing.assert_allclose(lam, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(r, mu, atol=1e-12)
 
     def test_scalar_map(self):
         # N(2x | 4, 1) normalizes to N(x | 2, 1/4): precision 4, shift 4 * 2
-        lam, r = maxent_linear_map_posterior([[2.0]], [4.0], [[1.0]])
+        lam, r = single_maxent([[2.0]], [4.0], [[1.0]])
         assert lam[0, 0] == pytest.approx(4.0, abs=1e-13)
         assert r[0] == pytest.approx(8.0, abs=1e-13)
 
@@ -153,7 +169,7 @@ class TestMaxentLinearMap:
         a = rng.standard_normal((2, 5))
         mu = rng.uniform(-1, 1, 5)
         sigma = random_spd(rng, 5)
-        lam, r = maxent_linear_map_posterior(a, mu, sigma)
+        lam, r = single_maxent(a, mu, sigma)
         cov = np.linalg.inv(lam)
         mean = cov @ r
 
@@ -178,18 +194,17 @@ class TestMaxentLinearMap:
             n = int(rng.integers(2, 6))
             m = int(rng.integers(1, n + 1))
             a = rng.standard_normal((m, n))
-            lam, _ = maxent_linear_map_posterior(a, rng.uniform(-1, 1, n), random_spd(rng, n))
+            lam, _ = single_maxent(a, rng.uniform(-1, 1, n), random_spd(rng, n))
             np.linalg.cholesky(np.linalg.inv(lam))  # raises if not SPD
 
     def test_too_many_rows_rejected(self):
         with pytest.raises(ValueError):
-            maxent_linear_map_posterior(np.ones((3, 2)), np.zeros(2), np.eye(2))
+            single_maxent(np.ones((3, 2)), np.zeros(2), np.eye(2))
 
-    def test_rank_deficient_map_raises(self):
+    def test_rank_deficient_map_gives_nan(self):
         a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) * 1e8  # rank 1, jitter cannot mask
-        lam, r = maxent_linear_map_posterior(a, np.zeros(3), np.eye(3))
-        with pytest.raises(RankDeficient):
-            log_product_integral([(lam, r)])
+        lam, r = single_maxent(a, np.zeros(3), np.eye(3))
+        assert np.isnan(single_integral([(lam, r)]))
 
 
 def random_stack(rng, j=5, m=2, n=6):
@@ -201,26 +216,29 @@ def random_stack(rng, j=5, m=2, n=6):
 
 
 class TestBatchAxis:
-    # every routine with a leading batch axis equals its 2-D call slice by slice
+    # every slice of a stack equals the J=1 call on that 2-D slice alone,
+    # NaN slices included; an unstacked argument is rejected
 
     def test_maxent_slices_match_2d_calls(self):
         a, mu, sigma = random_stack(np.random.default_rng(13))
         lam, r = maxent_linear_map_posterior(a, mu, sigma)
         assert lam.shape == (5, 2, 2) and r.shape == (5, 2)
         for k in range(5):
-            lam_k, r_k = maxent_linear_map_posterior(a[k], mu[k], sigma[k])
+            lam_k, r_k = single_maxent(a[k], mu[k], sigma[k])
             np.testing.assert_allclose(lam[k], lam_k, rtol=1e-14, atol=0)
             np.testing.assert_allclose(r[k], r_k, rtol=1e-14, atol=0)
 
-    def test_maxent_singular_slice_is_nan_where_2d_raises(self):
+    def test_maxent_singular_slice_is_nan(self):
         a, mu, sigma = random_stack(np.random.default_rng(14))
         sigma[2] = np.array([[1.0, 2.0], [2.0, 1.0]]).repeat(3, 0).repeat(3, 1)  # indefinite
         with pytest.raises(SingularCovariance):
-            maxent_linear_map_posterior(a[2], mu[2], sigma[2])
+            chol_spd(sigma[2])
         lam, r = maxent_linear_map_posterior(a, mu, sigma)
         assert np.isnan(lam[2]).all() and np.isnan(r[2]).all()
+        lam_2, r_2 = single_maxent(a[2], mu[2], sigma[2])
+        assert np.isnan(lam_2).all() and np.isnan(r_2).all()
         for k in (0, 1, 3, 4):
-            lam_k, r_k = maxent_linear_map_posterior(a[k], mu[k], sigma[k])
+            lam_k, r_k = single_maxent(a[k], mu[k], sigma[k])
             np.testing.assert_allclose(lam[k], lam_k, rtol=1e-14, atol=0)
             np.testing.assert_allclose(r[k], r_k, rtol=1e-14, atol=0)
 
@@ -229,9 +247,15 @@ class TestBatchAxis:
         a, mu, sigma = random_stack(np.random.default_rng(15), n=2)
         sigma[1] = np.ones((2, 2)) + 1e-17 * np.eye(2)
         lam, r = maxent_linear_map_posterior(a, mu, sigma)
-        lam_1, r_1 = maxent_linear_map_posterior(a[1], mu[1], sigma[1])
+        lam_1, r_1 = single_maxent(a[1], mu[1], sigma[1])
         np.testing.assert_allclose(lam[1], lam_1, rtol=1e-12)
         np.testing.assert_allclose(r[1], r_1, rtol=1e-12)
+        # and both equal the normalized likelihood under chol_spd's jittered factor
+        factor, _ = chol_spd(sigma[1])
+        b_map = solve_triangular(factor, a[1].T, lower=True)
+        b_vec = solve_triangular(factor, mu[1], lower=True)
+        np.testing.assert_allclose(lam[1], b_map.T @ b_map, rtol=1e-12)
+        np.testing.assert_allclose(r[1], b_map.T @ b_vec, rtol=1e-12)
 
     def test_product_integral_slices_match_2d_calls(self):
         rng = np.random.default_rng(16)
@@ -242,26 +266,40 @@ class TestBatchAxis:
         values = log_product_integral(comps)
         assert values.shape == (4,)
         for k in range(4):
-            expected = log_product_integral([(lam[k], r[k]) for lam, r in comps])
+            expected = single_integral([(lam[k], r[k]) for lam, r in comps])
             assert values[k] == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
-    def test_product_integral_rank_deficient_slice_is_nan_where_2d_raises(self):
+    def test_product_integral_rank_deficient_slice_is_nan(self):
         rng = np.random.default_rng(17)
         lam = np.stack([random_spd(rng, 2) for _ in range(3)])
         lam[1] = np.ones((2, 2)) * 1e8  # rank 1
         comps = [(lam, np.zeros((3, 2))), (np.stack([np.eye(2)] * 3), np.zeros((3, 2)))]
-        with pytest.raises(RankDeficient):
-            log_product_integral([(c[0][1], c[1][1]) for c in comps])
         values = log_product_integral(comps)
         assert np.isnan(values[1])
-        for k in (0, 2):
-            assert values[k] == log_product_integral([(c[0][k], c[1][k]) for c in comps])
+        singles = [single_integral([(c[0][k], c[1][k]) for c in comps]) for k in range(3)]
+        np.testing.assert_array_equal(values, singles)  # NaN where values is NaN
 
     def test_batched_mismatched_dimensions_rejected(self):
         with pytest.raises(ValueError):
             log_product_integral(
                 [(np.ones((3, 2, 2)), np.zeros((3, 2))), (np.ones((2, 2, 2)), np.zeros((2, 2)))]
             )
+        # one covariance for a stack of two maps would be broadcast, not rejected
+        a, mu, sigma = random_stack(np.random.default_rng(18), j=2)
+        for args in ((a, mu, sigma[:1]), (a, mu[:1], sigma), (a, mu[:, :5], sigma[:, :5, :5])):
+            with pytest.raises(ValueError, match="stack"):
+                maxent_linear_map_posterior(*args)
+
+    def test_unstacked_arguments_rejected(self):
+        # a 2-D precision or map would otherwise be read as a stack of rows
+        with pytest.raises(ValueError, match="stack"):
+            log_product_integral([std_normal(2)])
+        with pytest.raises(ValueError, match="stack"):
+            log_product_integral([(np.eye(2)[None], np.zeros(2))])
+        with pytest.raises(ValueError, match="stack"):
+            maxent_linear_map_posterior(np.eye(2), np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="stack"):
+            maxent_linear_map_posterior(one(np.eye(2)), one(np.zeros(2)), np.eye(2))
 
 
 class TestGaussianDistValidation:

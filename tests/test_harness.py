@@ -195,11 +195,27 @@ class TestExperimentConfig:
             ({"criteria": (Criterion.EVIDENCE, "loo", "evidence")}, "duplicate criteria"),
             ({"n_test": 0}, "n_test"),
             ({"restarts": 0}, "restart"),
+            (
+                {"criteria": ("evidence", "basc"), "n_train": 3, "asc": AscConfig(M=2, J=4)},
+                "n_train=3 too small for M=2",
+            ),
         ],
     )
     def test_invalid_values_rejected(self, override, message):
         with pytest.raises(ValueError, match=message):
             tiny_config(**override)
+
+    def test_small_n_train_allowed_without_agreement_criterion(self, monkeypatch):
+        # partitions are only drawn, and so only need 2M points, for ASC scores
+        cfg = tiny_config(n_train=3, asc=AscConfig(M=2, J=4, seed=0))
+
+        def no_partitions(*args, **kwargs):
+            raise AssertionError("partitions sampled without an agreement criterion")
+
+        monkeypatch.setattr(harness_module, "sample_partitions", no_partitions)
+        train, test = sample_synthetic(teacher(), cfg.n_train, cfg.n_test, seed=1)
+        result = rank_students(cfg, train, test)
+        assert set(result.scores) == {"evidence", "loo", "msll"}
 
 
 class TestRunRanking:

@@ -250,7 +250,7 @@ class TestOptimize:
 
             return real_lbfgs(f, asked, x0, **kwargs)
 
-        def search(f_line, grad_dot, phi0, dphi0, *args, **kwargs):
+        def search(f_line, grad_dot, phi0, dphi0):
             seen = {}
 
             def f_rec(alpha):
@@ -258,12 +258,12 @@ class TestOptimize:
                 return seen[alpha]
 
             def g_checked(alpha):
-                # the Armijo condition with _wolfe_search's default c1
-                assert seen[alpha] <= phi0 + 1e-4 * alpha * dphi0
+                # the Armijo condition with the line search's c1
+                assert seen[alpha] <= phi0 + optimize_module._C1 * alpha * dphi0
                 state["jac_calls"] += 1
                 return grad_dot(alpha)
 
-            return real_search(f_rec, g_checked, phi0, dphi0, *args, **kwargs)
+            return real_search(f_rec, g_checked, phi0, dphi0)
 
         monkeypatch.setattr(optimize_module, seam, counting)
         monkeypatch.setattr(optimize_module, "lbfgs_minimize", lbfgs)
