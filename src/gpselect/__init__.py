@@ -5,7 +5,7 @@ from .criteria import (
     AscConfig,
     AscScore,
     Criterion,
-    Partition,
+    Partitions,
     average_log_eta,
     sample_partitions,
 )
@@ -53,7 +53,7 @@ __all__ = [
     "KernelStructure",
     "OptResult",
     "OptimizationFailed",
-    "Partition",
+    "Partitions",
     "RankingReport",
     "SchemaError",
     "SingularCovariance",

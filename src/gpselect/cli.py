@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import AscConfig, Criterion, sample_partitions
-from .errors import EmptyData, GpSelectError, OptimizationFailed, SchemaError
+from .errors import EmptyData, GpSelectError, InsufficientData, OptimizationFailed, SchemaError
 from .gaussian import GaussianDist
 from .harness import (
     ExperimentConfig,
@@ -124,10 +124,10 @@ def cmd_fit(args) -> int:
     asc = parts = None
     if criterion.is_asc:
         try:
-            asc = AscConfig(M=args.M, J=args.J, seed=derived_seed(seed, 1))
+            asc = AscConfig(M=args.M, J=args.J)
         except ValueError as err:
             raise UsageError(str(err)) from err
-        parts = sample_partitions(train.n, asc)
+        parts = sample_partitions(train.n, asc, derived_seed(seed, 1))
     template = kernel_template(args.kernel)
     report = {
         "command": "fit",
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         return args.handler(args)
-    except (UsageError, SchemaError, EmptyData) as err:
+    except (UsageError, SchemaError, EmptyData, InsufficientData) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OptimizationFailed as err:

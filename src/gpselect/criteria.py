@@ -9,8 +9,9 @@ likelihood alone (unit inverse temperature, so the noise level plays the role
 of the temperature); the Bayesian variant multiplies it by the zero-mean GP
 prior, which in information form adds its precision. One routine builds both
 and integrates their product with the prior in closed form, for all J
-partitions of a call at once: they share one anchor count M, and every step
-works on ``(J, ...)`` stacks gathered from one Gram matrix. A partition whose
+partitions of a call at once. ``Partitions`` holds the J splits as ``(J, ...)``
+index arrays, sampled once per fit or replicate, and every step works on
+``(J, ...)`` stacks gathered with them from one Gram matrix. A partition whose
 factorization fails is a NaN in the stack and counts as failed.
 """
 
@@ -48,44 +49,53 @@ class Criterion(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class Partition:
-    """A random split of {0..N-1} into two near-equal halves plus M anchors."""
+class Partitions:
+    """J random splits of {0..N-1}, each into two near-equal halves plus M anchors.
+
+    Row j of ``idx1`` ``(J, n1)``, ``idx2`` ``(J, n2)`` and ``anchors`` ``(J, M)``
+    is split j. The arrays are read-only copies of the ones given.
+    """
 
     idx1: np.ndarray
     idx2: np.ndarray
-    anchor_idx: np.ndarray
+    anchors: np.ndarray
 
     def __post_init__(self):
-        idx1 = np.asarray(self.idx1, dtype=int).reshape(-1)
-        idx2 = np.asarray(self.idx2, dtype=int).reshape(-1)
-        anchors = np.asarray(self.anchor_idx, dtype=int).reshape(-1)
-        object.__setattr__(self, "idx1", idx1)
-        object.__setattr__(self, "idx2", idx2)
-        object.__setattr__(self, "anchor_idx", anchors)
-        n = idx1.size + idx2.size
-        combined = np.concatenate([idx1, idx2])
-        if np.intersect1d(idx1, idx2).size:
+        for name in ("idx1", "idx2", "anchors"):
+            arr = np.array(getattr(self, name), dtype=int)
+            if arr.ndim != 2:
+                raise ValueError(f"{name} must be a (J, k) array")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        idx1, idx2, anchors = self.idx1, self.idx2, self.anchors
+        (j, n1), (_, n2), (_, m) = idx1.shape, idx2.shape, anchors.shape
+        if j < 1 or idx2.shape[0] != j or anchors.shape[0] != j:
+            raise ValueError("idx1, idx2 and anchors need the same number J >= 1 of rows")
+        n = n1 + n2
+        combined = np.sort(np.concatenate([idx1, idx2], axis=1), axis=1)
+        if (np.diff(combined, axis=1) == 0).any():
             raise ValueError("halves overlap")
-        if not np.array_equal(np.sort(combined), np.arange(n)):
+        if not (combined == np.arange(n)).all():
             raise ValueError("halves do not cover the index range exactly")
-        if abs(idx1.size - idx2.size) > 1:
+        if abs(n1 - n2) > 1:
             raise ValueError("halves differ in size by more than one")
-        m = anchors.size
-        if np.unique(anchors).size != m:
+        if (np.diff(np.sort(anchors, axis=1), axis=1) == 0).any():
             raise ValueError("anchor indices must be distinct")
         if anchors.size and (anchors.min() < 0 or anchors.max() >= n):
             raise ValueError("anchor indices out of range")
-        if min(idx1.size, idx2.size) < m:
+        if min(n1, n2) < m:
             raise ValueError(f"each half needs at least {m} points for full row rank")
+
+    def __len__(self) -> int:
+        return self.idx1.shape[0]
 
 
 @dataclass(frozen=True)
 class AscConfig:
-    """Agreement dimension M, partition count J, and the partition seed."""
+    """Agreement dimension M and partition count J."""
 
     M: int = 2
     J: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if self.M < 1 or self.J < 1:
@@ -105,20 +115,15 @@ class AscScore:
         return self.n_failed / self.n_partitions
 
 
-def sample_partitions(n: int, cfg: AscConfig) -> list[Partition]:
+def sample_partitions(n: int, cfg: AscConfig, seed: int) -> Partitions:
     """Draw J independent partitions; deterministic for a given seed."""
     if n < 2 * cfg.M:
         raise InsufficientData(f"need at least {2 * cfg.M} points for M={cfg.M}, got {n}")
-    rng = np.random.default_rng(cfg.seed)
-    parts = []
-    for _ in range(cfg.J):
-        perm = rng.permutation(n)
-        half = (n + 1) // 2
-        anchors = rng.choice(n, size=cfg.M, replace=False)
-        parts.append(
-            Partition(np.sort(perm[:half]), np.sort(perm[half:]), np.sort(anchors))
-        )
-    return parts
+    rng = np.random.default_rng(seed)
+    draws = [(rng.permutation(n), rng.choice(n, size=cfg.M, replace=False)) for _ in range(cfg.J)]
+    perms, anchors = (np.array(d) for d in zip(*draws))
+    half = (n + 1) // 2
+    return Partitions(np.sort(perms[:, :half], axis=1), np.sort(perms[:, half:], axis=1), np.sort(anchors, axis=1))
 
 
 def _blocks(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -129,7 +134,7 @@ def _blocks(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def average_log_eta(
     kernel: KernelSpec,
     data: Dataset,
-    parts: list[Partition],
+    parts: Partitions,
     criterion: Criterion,
 ) -> AscScore:
     """log of the mean agreement over partitions, skipping numerical failures.
@@ -138,9 +143,8 @@ def average_log_eta(
     A = K_aa^-1 K_ai and Sigma_i = K_ii + sigma_n^2 I - K_ia A. Normalized
     over f, that likelihood has precision A Sigma_i^-1 A^T and shift
     A Sigma_i^-1 y_i; the Bayesian half posterior adds the prior precision
-    K_aa^-1. The prior itself is the third component. The partitions must
-    share one anchor count; halves are stacked by size, so odd N and swapped
-    halves work too.
+    K_aa^-1. The prior itself is the third component. Each half slot is one
+    ``(J, n_i, ...)`` stack, so odd N and swapped halves need nothing extra.
 
     The mean is of the agreements themselves (not their logs), by log-sum-exp
     over the sorted per-partition values, so it does not depend on evaluation
@@ -150,40 +154,27 @@ def average_log_eta(
     criterion = Criterion(criterion)
     if not criterion.is_asc:
         raise ValueError(f"{criterion.value} is not an agreement criterion")
-    if not parts:
-        raise ValueError("need at least one partition")
-    if len({p.anchor_idx.size for p in parts}) > 1:
-        raise ValueError("all partitions must have the same number of anchors")
     gram = gram_from_sq_dists(kernel, data.sq_dists)
-    anchors = np.array([p.anchor_idx for p in parts])  # (J, M)
-    factor = chol_stack(_blocks(gram, anchors, anchors))
+    factor = chol_stack(_blocks(gram, parts.anchors, parts.anchors))
     ok = np.flatnonzero(np.isfinite(factor).all(axis=(1, 2)))
     if not ok.size:
         raise AllPartitionsFailed(len(parts))
-    anchors, factor = anchors[ok], factor[ok]
+    anchors, factor = parts.anchors[ok], factor[ok]
     m = anchors.shape[1]
-    halves = [
-        (which, k, half)
-        for k, j in enumerate(ok)
-        for which, half in enumerate((parts[j].idx1, parts[j].idx2))
-    ]
-    lam = np.empty((2, ok.size, m, m))
-    r = np.empty((2, ok.size, m))
-    for size in sorted({half.size for _, _, half in halves}):
-        which, rows, idx = zip(*[h for h in halves if h[2].size == size])
-        which, rows, idx = np.array(which), np.array(rows), np.stack(idx)  # idx: (G, n)
-        cross = _blocks(gram, anchors[rows], idx)  # K_ai, (G, M, n)
-        a_map = cho_solve_stack(factor[rows], cross)
-        sigma = _blocks(gram, idx, idx) + kernel.noise_variance * np.eye(size)
-        sigma -= np.swapaxes(cross, 1, 2) @ a_map
-        lam[which, rows], r[which, rows] = maxent_linear_map_posterior(a_map, data.y[idx], sigma)
     prior_precision = cho_solve_stack(factor, np.broadcast_to(np.eye(m), factor.shape))  # K_aa^-1
-    if criterion is Criterion.BAYESIAN_ASC:
-        lam += prior_precision
+    components = []
+    for idx in (parts.idx1[ok], parts.idx2[ok]):
+        cross = _blocks(gram, anchors, idx)  # K_ai, (J', M, n_i)
+        a_map = cho_solve_stack(factor, cross)
+        sigma = _blocks(gram, idx, idx) + kernel.noise_variance * np.eye(idx.shape[1])
+        sigma -= np.swapaxes(cross, 1, 2) @ a_map
+        lam, r = maxent_linear_map_posterior(a_map, data.y[idx], sigma)
+        if criterion is Criterion.BAYESIAN_ASC:
+            lam += prior_precision
+        components.append((lam, r))
+    components.append((prior_precision, np.zeros((ok.size, m))))
     values = np.full(len(parts), np.nan)
-    values[ok] = log_product_integral(
-        [(lam[0], r[0]), (lam[1], r[1]), (prior_precision, np.zeros((ok.size, m)))]
-    )
+    values[ok] = log_product_integral(components)
     ordered = np.sort(values[np.isfinite(values)])
     if not ordered.size:
         raise AllPartitionsFailed(len(parts))

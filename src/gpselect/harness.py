@@ -146,7 +146,7 @@ def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=Non
     base = cfg.seed if seed is None else seed
     parts = None
     if any(c.is_asc for c in cfg.criteria):
-        parts = sample_partitions(train.n, replace(cfg.asc, seed=derived_seed(base, 1)))
+        parts = sample_partitions(train.n, cfg.asc, derived_seed(base, 1))
     names = [s.value for s in cfg.students]
     scores: dict = {col: {} for col in cfg.columns}
     asc_fracs: dict = {}

@@ -228,7 +228,7 @@ def optimize(
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if criterion.is_asc and parts is None:
-        raise ValueError("agreement criteria need a list of partitions")
+        raise ValueError("agreement criteria need partitions")
     sign = -criterion.direction  # minimize sign * value
     dim = template.log_params.size + 1
 

@@ -108,27 +108,27 @@ def split_partition_indices(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# agreement-integral oracles
+# agreement-integral oracles, each for row 0 of a Partitions set
 
-def half_posterior(model, data, part, which):
+def half_posterior(model, data, parts, which):
     """(mean, cov) of the anchor latents given one half's outputs, by explicit solve."""
-    idx = part.idx1 if which == 0 else part.idx2
-    anchors = data.X[:, part.anchor_idx]
+    idx = (parts.idx1 if which == 0 else parts.idx2)[0]
+    anchors = data.X[:, parts.anchors[0]]
     cross = kernel_matrix(model, data.X[:, idx], anchors)  # (n_i, M)
     gain = np.linalg.solve(noisy_kernel_matrix(model, data.X[:, idx]), cross)
     cov = kernel_matrix(model, anchors, anchors) - cross.T @ gain
     return gain.T @ data.y[idx], 0.5 * (cov + cov.T)
 
 
-def _half_loglik_vec(kern, data, part, which):
+def _half_loglik_vec(kern, data, parts, which):
     """Vectorized half log-likelihood over (M, G) anchor-latent grids.
 
     Built from plain numpy inverses/Cholesky, independent of the library's
     factorization helpers and normalized-likelihood closed forms.
     """
-    idx = part.idx1 if which == 0 else part.idx2
+    idx = (parts.idx1 if which == 0 else parts.idx2)[0]
     y_i = data.y[idx]
-    anchors = data.X[:, part.anchor_idx]
+    anchors = data.X[:, parts.anchors[0]]
     cov_anchor = kernel_matrix(kern, anchors, anchors)
     cross = kernel_matrix(kern, data.X[:, idx], anchors)  # (n_i, M)
     cov_half = noisy_kernel_matrix(kern, data.X[:, idx])
@@ -148,9 +148,9 @@ def _half_loglik_vec(kern, data, part, which):
     return loglik
 
 
-def _half_loglik_1d(model, data, part, which):
+def _half_loglik_1d(model, data, parts, which):
     """Scalar wrapper over the vectorized half likelihood (single anchor)."""
-    loglik_vec = _half_loglik_vec(model, data, part, which)
+    loglik_vec = _half_loglik_vec(model, data, parts, which)
 
     def loglik(f):
         return float(loglik_vec(np.array([[f]]))[0])
@@ -190,12 +190,12 @@ def _log_normalizer_1d(loglik, scale) -> float:
     return shift + float(np.log(value))
 
 
-def oracle_log_eta_bayesian_1d(model, data, part) -> float:
-    anchors = data.X[:, part.anchor_idx]
+def oracle_log_eta_bayesian_1d(model, data, parts) -> float:
+    anchors = data.X[:, parts.anchors[0]]
     prior_var = float(kernel_matrix(model, anchors, anchors)[0, 0])
     comps = []
     for which in (0, 1):
-        mean, cov = half_posterior(model, data, part, which)
+        mean, cov = half_posterior(model, data, parts, which)
         comps.append((float(mean[0]), float(cov[0, 0])))
     comps.append((0.0, prior_var))
 
@@ -208,11 +208,11 @@ def oracle_log_eta_bayesian_1d(model, data, part) -> float:
     return log_integral_1d(log_f, lo, hi)
 
 
-def oracle_log_eta_beta_noise_1d(model, data, part) -> float:
-    anchors = data.X[:, part.anchor_idx]
+def oracle_log_eta_beta_noise_1d(model, data, parts) -> float:
+    anchors = data.X[:, parts.anchors[0]]
     prior_var = float(kernel_matrix(model, anchors, anchors)[0, 0])
     sd = float(np.sqrt(prior_var))
-    logliks = [_half_loglik_1d(model, data, part, w) for w in (0, 1)]
+    logliks = [_half_loglik_1d(model, data, parts, w) for w in (0, 1)]
     log_zs = [_log_normalizer_1d(ll, sd) for ll in logliks]
 
     def log_f(f):
@@ -259,12 +259,12 @@ def _log_normalizer_2d(loglik, sd) -> float:
     return fine
 
 
-def oracle_log_eta_beta_noise_2d(model, data, part) -> float:
-    anchors = data.X[:, part.anchor_idx]
+def oracle_log_eta_beta_noise_2d(model, data, parts) -> float:
+    anchors = data.X[:, parts.anchors[0]]
     prior_cov = kernel_matrix(model, anchors, anchors)
     prior = multivariate_normal(mean=np.zeros(2), cov=prior_cov)
     sd = float(np.sqrt(np.max(np.diag(prior_cov))))
-    logliks = [_half_loglik_vec(model, data, part, w) for w in (0, 1)]
+    logliks = [_half_loglik_vec(model, data, parts, w) for w in (0, 1)]
     log_zs = [_log_normalizer_2d(ll, sd) for ll in logliks]
     peaks = [_scan_peak_2d(ll, sd) for ll in logliks]
 
@@ -282,12 +282,12 @@ def oracle_log_eta_beta_noise_2d(model, data, part) -> float:
     return log_integral_2d(log_f, lo, hi, n_nodes=400)
 
 
-def oracle_log_eta_bayesian_2d(model, data, part) -> float:
-    anchors = data.X[:, part.anchor_idx]
+def oracle_log_eta_bayesian_2d(model, data, parts) -> float:
+    anchors = data.X[:, parts.anchors[0]]
     prior_cov = kernel_matrix(model, anchors, anchors)
     comps = [(np.zeros(2), prior_cov)]
     for which in (0, 1):
-        comps.append(half_posterior(model, data, part, which))
+        comps.append(half_posterior(model, data, parts, which))
     mvns = [multivariate_normal(mean=m, cov=c) for m, c in comps]
 
     def log_f(pts):
@@ -298,14 +298,14 @@ def oracle_log_eta_bayesian_2d(model, data, part) -> float:
     return log_integral_2d(log_f, lo, hi, n_nodes=400)
 
 
-def maxent_half_moments(model, data, part, which):
+def maxent_half_moments(model, data, parts, which):
     """(mean, cov) of one half's likelihood N(A^T f | y_i, Sigma_i), normalized over f.
 
     A = K_aa^-1 K_ai and Sigma_i = K_ii + sigma_n^2 I - K_ia A, all by explicit
     inverses.
     """
-    idx = part.idx1 if which == 0 else part.idx2
-    anchors = data.X[:, part.anchor_idx]
+    idx = (parts.idx1 if which == 0 else parts.idx2)[0]
+    anchors = data.X[:, parts.anchors[0]]
     cross = kernel_matrix(model, anchors, data.X[:, idx])  # (M, n_i)
     a_map = np.linalg.inv(kernel_matrix(model, anchors, anchors)) @ cross
     sigma_inv = np.linalg.inv(noisy_kernel_matrix(model, data.X[:, idx]) - cross.T @ a_map)
@@ -313,7 +313,7 @@ def maxent_half_moments(model, data, part, which):
     return cov @ a_map @ sigma_inv @ data.y[idx], 0.5 * (cov + cov.T)
 
 
-def dense_log_eta(model, data, part, bayesian: bool) -> float:
+def dense_log_eta(model, data, parts, bayesian: bool) -> float:
     """log agreement of one partition in moment form, by explicit inverses.
 
     The half posteriors over the anchor latents are :func:`half_posterior`
@@ -322,9 +322,9 @@ def dense_log_eta(model, data, part, bayesian: bool) -> float:
     N(m1 | m2, S1 + S2) N(m12 | 0, S12 + K_aa), where (m12, S12) are the
     moments of the normalized product of the halves.
     """
-    anchors = data.X[:, part.anchor_idx]
+    anchors = data.X[:, parts.anchors[0]]
     half = half_posterior if bayesian else maxent_half_moments
-    (m1, s1), (m2, s2) = (half(model, data, part, which) for which in (0, 1))
+    (m1, s1), (m2, s2) = (half(model, data, parts, which) for which in (0, 1))
     p1, p2 = np.linalg.inv(s1), np.linalg.inv(s2)
     s12 = np.linalg.inv(p1 + p2)
     m12 = s12 @ (p1 @ m1 + p2 @ m2)

@@ -166,6 +166,14 @@ class TestFit:
         base = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence"]
         assert main(base + extra) == 2
 
+    def test_too_few_rows_for_anchor_count_exits_2(self, tmp_path, capsys):
+        code, train, _ = run_synth(tmp_path, n_train=3)
+        assert code == 0
+        capsys.readouterr()
+        args = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "bnasc", "--M", "2"]
+        assert main(args + ["--seed", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_value_error_in_numerical_code_exits_3(self, synth_files, monkeypatch, capsys):
         import importlib
 

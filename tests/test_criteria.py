@@ -26,7 +26,7 @@ from gpselect import (
     InsufficientData,
     KernelSpec,
     KernelStructure,
-    Partition,
+    Partitions,
     average_log_eta,
     kernel_matrix,
     maxent_linear_map_posterior,
@@ -41,19 +41,36 @@ from gpselect.harness import derived_seed
 ASC_CRITERIA = [c for c in Criterion if c.is_asc]
 
 
-def log_eta(model, data, part, variant=Criterion.BAYESIAN_ASC):
-    """One partition's log agreement, which average_log_eta passes through exactly."""
-    return average_log_eta(model, data, [part], variant).value
+def log_eta(model, data, parts, variant=Criterion.BAYESIAN_ASC):
+    """A one-row set's log agreement, which average_log_eta passes through exactly."""
+    return average_log_eta(model, data, parts, variant).value
 
 
-def random_partition(rng, n, m=1):
-    idx1, idx2 = split_partition_indices(rng, n)
-    anchors = np.sort(rng.choice(n, size=m, replace=False))
-    return Partition(idx1, idx2, anchors)
+def one_partition(idx1, idx2, anchors):
+    return Partitions([idx1], [idx2], [anchors])
 
 
-def swap(part):
-    return Partition(part.idx2, part.idx1, part.anchor_idx)
+def random_partitions(rng, n, m=1, count=1):
+    """``count`` rows, each drawn as its halves and then its anchors."""
+    draws = [
+        (*split_partition_indices(rng, n), np.sort(rng.choice(n, size=m, replace=False)))
+        for _ in range(count)
+    ]
+    return Partitions(*zip(*draws))
+
+
+def take(parts, index):
+    """The set of rows ``index`` of ``parts``, in that order."""
+    return Partitions(parts.idx1[index], parts.idx2[index], parts.anchors[index])
+
+
+def rows(parts):
+    """Each row of ``parts`` as its own one-row set."""
+    return [take(parts, [j]) for j in range(len(parts))]
+
+
+def swap(parts):
+    return Partitions(parts.idx2, parts.idx1, parts.anchors)
 
 
 def dense_m2_instance(rng, structure="se"):
@@ -76,62 +93,111 @@ def dense_m2_instance(rng, structure="se"):
     order = np.argsort(x[0])
     idx1, idx2 = np.sort(order[0::2]), np.sort(order[1::2])
     a, b = int(order[3]), int(order[8])  # separated anchor pair
-    return kern, data, Partition(idx1, idx2, np.sort([a, b]))
+    return kern, data, one_partition(idx1, idx2, np.sort([a, b]))
 
 
 class TestSamplePartitions:
     def test_forced_sizes(self):
-        parts = sample_partitions(4, AscConfig(M=2, J=1, seed=0))
+        parts = sample_partitions(4, AscConfig(M=2, J=1), 0)
         assert len(parts) == 1
-        part = parts[0]
-        assert {part.idx1.size, part.idx2.size} == {2}
-        assert part.anchor_idx.size == 2
+        assert parts.idx1.shape == parts.idx2.shape == parts.anchors.shape == (1, 2)
 
     def test_same_seed_identical(self):
-        cfg = AscConfig(M=2, J=8, seed=99)
-        first = sample_partitions(20, cfg)
-        second = sample_partitions(20, cfg)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.idx1, b.idx1)
-            np.testing.assert_array_equal(a.idx2, b.idx2)
-            np.testing.assert_array_equal(a.anchor_idx, b.anchor_idx)
+        cfg = AscConfig(M=2, J=8)
+        first = sample_partitions(20, cfg, 99)
+        second = sample_partitions(20, cfg, 99)
+        np.testing.assert_array_equal(first.idx1, second.idx1)
+        np.testing.assert_array_equal(first.idx2, second.idx2)
+        np.testing.assert_array_equal(first.anchors, second.anchors)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rows_follow_the_draw_order(self, n, m):
+        # per row: one permutation for the halves, then the anchor draw
+        parts = sample_partitions(n, AscConfig(M=m, J=6), 123)
+        rng = np.random.default_rng(123)
+        half = (n + 1) // 2
+        for j in range(6):
+            perm = rng.permutation(n)
+            choice = rng.choice(n, size=m, replace=False)
+            np.testing.assert_array_equal(parts.idx1[j], np.sort(perm[:half]))
+            np.testing.assert_array_equal(parts.idx2[j], np.sort(perm[half:]))
+            np.testing.assert_array_equal(parts.anchors[j], np.sort(choice))
 
     def test_bulk_sampling_valid(self):
-        parts = sample_partitions(64, AscConfig(M=2, J=256, seed=1))
+        parts = sample_partitions(64, AscConfig(M=2, J=256), 1)
         assert len(parts) == 256
-        for part in parts:
-            assert abs(part.idx1.size - part.idx2.size) <= 1
-            assert np.intersect1d(part.idx1, part.idx2).size == 0
-            assert np.union1d(part.idx1, part.idx2).size == 64
-            assert np.unique(part.anchor_idx).size == 2
+        for idx1, idx2, anchors in zip(parts.idx1, parts.idx2, parts.anchors):
+            assert abs(idx1.size - idx2.size) <= 1
+            assert np.intersect1d(idx1, idx2).size == 0
+            assert np.union1d(idx1, idx2).size == 64
+            assert np.unique(anchors).size == 2
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            sample_partitions(3, AscConfig(M=2, J=1, seed=0))
+            sample_partitions(3, AscConfig(M=2, J=1), 0)
 
 
 class TestPartitionValidation:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            Partition([0, 1], [1, 2, 3], [0])
+            Partitions([[0, 1]], [[1, 2, 3]], [[0]])
 
     def test_gap_rejected(self):
         with pytest.raises(ValueError):
-            Partition([0, 1], [3, 4], [0])
+            Partitions([[0, 1]], [[3, 4]], [[0]])
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
-            Partition([0], [1, 2, 3], [0])
+            Partitions([[0]], [[1, 2, 3]], [[0]])
 
     def test_half_smaller_than_anchor_count_rejected(self):
         with pytest.raises(ValueError):
-            Partition([0], [1, 2], [0, 1])
+            Partitions([[0]], [[1, 2]], [[0, 1]])
+
+    @pytest.mark.parametrize(
+        "idx1, idx2, anchors, match",
+        [
+            ([0, 1, 2], [2, 3, 4], [0, 4], "overlap"),
+            ([0, 1, 2], [3, 4, 6], [0, 4], "cover"),
+            ([0, 1, 2], [3, 4, 5], [3, 3], "distinct"),
+            ([0, 1, 2], [3, 4, 5], [0, 6], "out of range"),
+            ([0, 1, 2], [3, 4, 5], [-1, 4], "out of range"),
+        ],
+    )
+    def test_rule_broken_in_a_later_row_rejected(self, idx1, idx2, anchors, match):
+        valid = ([0, 1, 2], [3, 4, 5], [0, 4])
+        with pytest.raises(ValueError, match=match):
+            Partitions(*zip(valid, valid, (idx1, idx2, anchors)))
+
+    @pytest.mark.parametrize("longer", range(3))
+    def test_unequal_row_counts_rejected(self, longer):
+        arrays = [[[0, 1]], [[2, 3]], [[0]]]
+        arrays[longer] = arrays[longer] * 2
+        with pytest.raises(ValueError, match="same number"):
+            Partitions(*arrays)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError):
+            Partitions(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 1)))
+
+    def test_ragged_anchors_rejected(self):
+        with pytest.raises(ValueError):
+            Partitions([[0, 1], [2, 3]], [[2, 3], [0, 1]], [[0], [1, 2]])
+
+    def test_arrays_are_read_only_copies(self):
+        idx1 = np.array([[0, 1]])
+        parts = Partitions(idx1, [[2, 3]], [[0]])
+        idx1[0, 0] = 2
+        assert parts.idx1[0, 0] == 0
+        with pytest.raises(ValueError):
+            parts.anchors[0, 0] = 1
 
 
 class TestAscConfig:
     def test_defaults_valid(self):
         cfg = AscConfig()
-        assert (cfg.M, cfg.J, cfg.seed) == (2, 32, 0)
+        assert (cfg.M, cfg.J) == (2, 32)
 
 
 class TestCriterion:
@@ -151,7 +217,7 @@ class TestCriterion:
         rng = np.random.default_rng(12)
         model, data = random_gp_instance(rng)
         with pytest.raises(ValueError):
-            average_log_eta(model, data, [random_partition(rng, data.n)], criterion)
+            average_log_eta(model, data, random_partitions(rng, data.n), criterion)
 
 
 class TestLogEtaBayesian:
@@ -162,14 +228,14 @@ class TestLogEtaBayesian:
         x = np.linspace(0, 5, n).reshape(1, -1)
         model = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=1e6)
         data = Dataset(x, np.zeros(n))
-        part = Partition([0, 1, 2], [3, 4, 5], [2])
+        part = one_partition([0, 1, 2], [3, 4, 5], [2])
         got = log_eta(model, data, part)
         assert math.exp(got) == pytest.approx(0.091888, abs=1e-6)
 
     def test_swap_halves_invariant(self):
         rng = np.random.default_rng(10)
         model, data = random_gp_instance(rng)
-        part = random_partition(rng, data.n)
+        part = random_partitions(rng, data.n)
         assert abs(
             log_eta(model, data, part) - log_eta(model, data, swap(part))
         ) < 1e-10
@@ -177,15 +243,15 @@ class TestLogEtaBayesian:
     def test_within_half_permutation_invariant(self):
         rng = np.random.default_rng(11)
         model, data = random_gp_instance(rng)
-        part = random_partition(rng, data.n)
+        part = random_partitions(rng, data.n)
         base = log_eta(model, data, part)
         # permute the data points and remap every index set accordingly
         perm = rng.permutation(data.n)
         inverse = np.empty(data.n, dtype=int)
         inverse[perm] = np.arange(data.n)
         permuted = Dataset(data.X[:, perm], data.y[perm])
-        remapped = Partition(
-            np.sort(inverse[part.idx1]), np.sort(inverse[part.idx2]), np.sort(inverse[part.anchor_idx])
+        remapped = one_partition(
+            np.sort(inverse[part.idx1[0]]), np.sort(inverse[part.idx2[0]]), np.sort(inverse[part.anchors[0]])
         )
         assert abs(log_eta(model, permuted, remapped) - base) < 1e-10
 
@@ -193,7 +259,7 @@ class TestLogEtaBayesian:
         rng = np.random.default_rng(12)
         for _ in range(5):
             model, data = random_gp_instance(rng)
-            part = random_partition(rng, data.n)
+            part = random_partitions(rng, data.n)
             got = log_eta(model, data, part)
             assert abs(got - oracle_log_eta_bayesian_1d(model, data, part)) < 1e-6
 
@@ -208,10 +274,10 @@ class TestLogEtaBayesian:
         # the prior: adding K_aa^-1 to its precision gives the conditioning oracle
         rng = np.random.default_rng(14)
         model, data = random_gp_instance(rng)
-        part = random_partition(rng, data.n, m=2)
-        anchors = data.X[:, part.anchor_idx]
+        part = random_partitions(rng, data.n, m=2)
+        anchors = data.X[:, part.anchors[0]]
         prior_precision = np.linalg.inv(kernel_matrix(model, anchors, anchors))
-        for which, idx in enumerate((part.idx1, part.idx2)):
+        for which, idx in enumerate((part.idx1[0], part.idx2[0])):
             cross = kernel_matrix(model, anchors, data.X[:, idx])
             a_map = prior_precision @ cross
             sigma = noisy_kernel_matrix(model, data.X[:, idx]) - cross.T @ a_map
@@ -229,7 +295,7 @@ class TestLogEtaBetaNoise:
     def test_swap_halves_invariant(self):
         rng = np.random.default_rng(20)
         model, data = random_gp_instance(rng)
-        part = random_partition(rng, data.n)
+        part = random_partitions(rng, data.n)
         forward = log_eta(model, data, part, Criterion.BETA_NOISE_ASC)
         assert abs(forward - log_eta(model, data, swap(part), Criterion.BETA_NOISE_ASC)) < 1e-10
 
@@ -237,7 +303,7 @@ class TestLogEtaBetaNoise:
         rng = np.random.default_rng(21)
         for _ in range(5):
             model, data = random_gp_instance(rng)
-            part = random_partition(rng, data.n)
+            part = random_partitions(rng, data.n)
             got = log_eta(model, data, part, Criterion.BETA_NOISE_ASC)
             assert abs(got - oracle_log_eta_beta_noise_1d(model, data, part)) < 1e-6
 
@@ -268,7 +334,7 @@ class TestSigmaDirectionalSanity:
                 kernel_matrix(clean, x, x) + 1e-10 * np.eye(2 * n_pairs)
             ) @ rng.standard_normal(2 * n_pairs)
             data = Dataset(x, f)
-            part = Partition(np.arange(0, 2 * n_pairs, 2), np.arange(1, 2 * n_pairs, 2), [8])
+            part = one_partition(np.arange(0, 2 * n_pairs, 2), np.arange(1, 2 * n_pairs, 2), [8])
             previous = None
             for sn in (0.3, 0.1, 0.03, 0.01):
                 model = KernelSpec.create("se", lengthscale=ell, signal=1.0, noise=sn)
@@ -286,7 +352,7 @@ class TestAverageLogEta:
     def test_single_partition_passthrough(self, monkeypatch):
         rng = np.random.default_rng(40)
         model, data = random_gp_instance(rng)
-        part = random_partition(rng, data.n)
+        part = random_partitions(rng, data.n)
         real = criteria.log_product_integral
         seen = []
 
@@ -296,7 +362,7 @@ class TestAverageLogEta:
 
         monkeypatch.setattr(criteria, "log_product_integral", recording)
         for variant in ASC_CRITERIA:
-            score = average_log_eta(model, data, [part], variant)
+            score = average_log_eta(model, data, part, variant)
             assert seen[-1].shape == (1,)
             assert score.value == seen[-1][0]
             assert score.n_failed == 0
@@ -304,16 +370,16 @@ class TestAverageLogEta:
     def test_identical_partitions_average_to_common_value(self):
         rng = np.random.default_rng(41)
         model, data = random_gp_instance(rng)
-        part = random_partition(rng, data.n)
+        part = random_partitions(rng, data.n)
         single = log_eta(model, data, part)
-        score = average_log_eta(model, data, [part] * 5, Criterion.BAYESIAN_ASC)
+        score = average_log_eta(model, data, take(part, [0] * 5), Criterion.BAYESIAN_ASC)
         assert score.value == pytest.approx(single, abs=1e-12)
 
     def test_matches_extended_precision_mean(self):
         rng = np.random.default_rng(42)
         model, data = random_gp_instance(rng, n_lo=10, n_hi=12)
-        parts = [random_partition(rng, data.n) for _ in range(16)]
-        values = [log_eta(model, data, p) for p in parts]
+        parts = random_partitions(rng, data.n, count=16)
+        values = [log_eta(model, data, p) for p in rows(parts)]
         score = average_log_eta(model, data, parts, Criterion.BAYESIAN_ASC)
         with mpmath.workdps(60):
             mean = mpmath.fsum(mpmath.e**v for v in values) / len(values)
@@ -323,9 +389,9 @@ class TestAverageLogEta:
     def test_evaluation_order_does_not_matter(self):
         rng = np.random.default_rng(43)
         model, data = random_gp_instance(rng)
-        parts = [random_partition(rng, data.n) for _ in range(8)]
+        parts = random_partitions(rng, data.n, count=8)
         forward = average_log_eta(model, data, parts, Criterion.BETA_NOISE_ASC)
-        backward = average_log_eta(model, data, parts[::-1], Criterion.BETA_NOISE_ASC)
+        backward = average_log_eta(model, data, take(parts, np.arange(8)[::-1]), Criterion.BETA_NOISE_ASC)
         assert forward.value == backward.value
 
     def test_near_singular_instance_reports_failures_without_abort(self):
@@ -335,7 +401,7 @@ class TestAverageLogEta:
         y = np.array([0.1, 0.1, -0.2, -0.2, 0.3, 0.3, 0.0, 0.0])
         model = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=1e-8)
         data = Dataset(x, y)
-        parts = sample_partitions(8, AscConfig(M=2, J=16, seed=7))
+        parts = sample_partitions(8, AscConfig(M=2, J=16), 7)
         for variant in ASC_CRITERIA:
             score = average_log_eta(model, data, parts, variant)
             assert score.n_partitions == 16
@@ -346,8 +412,8 @@ class TestAverageLogEta:
     def test_non_finite_partition_counts_as_failed(self, monkeypatch):
         rng = np.random.default_rng(44)
         model, data = random_gp_instance(rng)
-        parts = [random_partition(rng, data.n) for _ in range(3)]
-        values = [log_eta(model, data, p) for p in parts]
+        parts = random_partitions(rng, data.n, count=3)
+        values = [log_eta(model, data, p) for p in rows(parts)]
         real = criteria.log_product_integral
 
         def nan_for_second(components):
@@ -361,14 +427,6 @@ class TestAverageLogEta:
         expected = logsumexp(np.sort([values[0], values[2]])) - np.log(2.0)
         assert score.value == pytest.approx(float(expected), abs=1e-12)
 
-    def test_mixed_anchor_counts_rejected(self):
-        rng = np.random.default_rng(45)
-        model, data = random_gp_instance(rng)
-        parts = [random_partition(rng, data.n, m=1), random_partition(rng, data.n, m=2)]
-        for variant in ASC_CRITERIA:
-            with pytest.raises(ValueError, match="same number of anchors"):
-                average_log_eta(model, data, parts, variant)
-
     def test_far_anchor_partitions_fail_without_abort(self):
         # the point a bnasc fit of synth seed 12 reaches: in partition 5 an
         # anchor has no point of the other half within reach, so its row of
@@ -377,7 +435,7 @@ class TestAverageLogEta:
         train, _ = sample_synthetic(teacher, 64, 256, seed=12)
         x = train.X  # standardized as load_csv_dataset does
         data = Dataset((x - x.mean(axis=1)[:, None]) / x.std(axis=1)[:, None], train.y)
-        parts = sample_partitions(64, AscConfig(M=2, J=32, seed=derived_seed(0, 1)))
+        parts = sample_partitions(64, AscConfig(M=2, J=32), derived_seed(0, 1))
         theta = np.array([-5.226861461507027, 3.3879044801709925, -1.5127458863693015])
         score = average_log_eta(teacher.with_theta(theta), data, parts, Criterion.BETA_NOISE_ASC)
         assert score.n_failed == 3
@@ -390,8 +448,8 @@ class TestDenseReference:
     def test_both_variants_match_explicit_inverses(self, seed, m):
         rng = np.random.default_rng(seed)
         model, data = random_gp_instance(rng)
-        part = random_partition(rng, data.n, m)
-        anchors = data.X[:, part.anchor_idx]
+        part = random_partitions(rng, data.n, m)
+        anchors = data.X[:, part.anchors[0]]
         assume(np.linalg.cond(kernel_matrix(model, anchors, anchors)) < 1e3)
         # a half likelihood that barely informs some anchor direction (an exp
         # kernel's Markov property can make it exactly uninformative) leaves
@@ -411,9 +469,9 @@ def single_or_nan(model, data, part, variant):
 
 
 class TestBatchMatchesSinglePartitions:
-    # The batched engine stacks all partitions of a call, which share one
-    # anchor count, and groups their halves by size, so odd N and swapped
-    # halves exercise the grouping.
+    # The batched engine stacks each half slot of all partitions of a call;
+    # odd N gives the slots different sizes, and swapping the whole set
+    # exchanges them.
     @given(
         structure=st.sampled_from([s.value for s in KernelStructure]),
         seed=st.integers(0, 2**32 - 1),
@@ -438,10 +496,11 @@ class TestBatchMatchesSinglePartitions:
             data = Dataset(x.reshape(1, -1), y)
         else:
             model, data = random_gp_instance(rng, n_lo=n, n_hi=n, structure=structure)
-        parts = [random_partition(rng, n, m) for _ in range(count)]
-        parts = [swap(p) if rng.random() < 0.5 else p for p in parts]
+        parts = random_partitions(rng, n, m, count)
+        if rng.random() < 0.5:
+            parts = swap(parts)
         for variant in ASC_CRITERIA:
-            singles = np.array([single_or_nan(model, data, p, variant) for p in parts])
+            singles = np.array([single_or_nan(model, data, p, variant) for p in rows(parts)])
             finite = np.sort(singles[np.isfinite(singles)])
             if not finite.size:
                 with pytest.raises(AllPartitionsFailed):

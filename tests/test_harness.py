@@ -34,7 +34,7 @@ def tiny_config(**overrides):
         replicates=2,
         n_train=12,
         n_test=6,
-        asc=AscConfig(M=1, J=4, seed=0),
+        asc=AscConfig(M=1, J=4),
         seed=7,
         teacher=teacher(),
         restarts=1,
@@ -207,7 +207,7 @@ class TestExperimentConfig:
 
     def test_small_n_train_allowed_without_agreement_criterion(self, monkeypatch):
         # partitions are only drawn, and so only need 2M points, for ASC scores
-        cfg = tiny_config(n_train=3, asc=AscConfig(M=2, J=4, seed=0))
+        cfg = tiny_config(n_train=3, asc=AscConfig(M=2, J=4))
 
         def no_partitions(*args, **kwargs):
             raise AssertionError("partitions sampled without an agreement criterion")

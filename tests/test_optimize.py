@@ -164,7 +164,7 @@ class TestOptimize:
     def test_asc_fit_reports_partition_fraction(self):
         rng = np.random.default_rng(6)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        parts = sample_partitions(data.n, AscConfig(M=1, J=4, seed=2))
+        parts = sample_partitions(data.n, AscConfig(M=1, J=4), 2)
         result = optimize(Criterion.BAYESIAN_ASC, se_template(), data, restarts=1, seed=7, parts=parts)
         assert result.failed_partition_fraction is not None
         assert 0.0 <= result.failed_partition_fraction <= 1.0
