@@ -17,7 +17,6 @@ import numpy as np
 
 from .criteria import AscConfig, Criterion, sample_partitions
 from .errors import EmptyData, GpSelectError, InsufficientData, OptimizationFailed, SchemaError
-from .gaussian import GaussianDist
 from .harness import (
     ExperimentConfig,
     derived_seed,
@@ -251,10 +250,7 @@ def cmd_eval(args) -> int:
         test = _load(args.test, input_cols, args.output_col)
         base_mean = float(np.mean(train.y))
         base_var = float(np.var(train.y))
-        predictive = GaussianDist.from_moments(
-            np.full(test.n, base_mean), base_var * np.eye(test.n)
-        )
-        value = msll(predictive, test.y, train.y)
+        value = msll(np.full(test.n, base_mean), np.full(test.n, base_var), test.y, train.y)
         model_desc = "trivial"
     else:
         if not Path(args.model).is_file():
@@ -275,7 +271,7 @@ def cmd_eval(args) -> int:
         train = _load(args.train, input_cols, args.output_col, shift=shift, scale=scale)
         test = _load(args.test, input_cols, args.output_col, shift=shift, scale=scale)
         predictive = predict(kernel, train, test.X)
-        value = msll(predictive, test.y, train.y)
+        value = msll(predictive.mean, np.diag(predictive.cov), test.y, train.y)
         model_desc = str(args.model)
     print(repr(value))
     if args.out:

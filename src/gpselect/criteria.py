@@ -149,11 +149,15 @@ def average_log_eta(
     The mean is of the agreements themselves (not their logs), by log-sum-exp
     over the sorted per-partition values, so it does not depend on evaluation
     order. A partition whose factorization fails or whose value is not finite
-    counts as failed. Raises AllPartitionsFailed only if no partition survives.
+    counts as failed. Raises AllPartitionsFailed only if no partition survives,
+    and ValueError if ``parts`` does not split exactly the data's N points.
     """
     criterion = Criterion(criterion)
     if not criterion.is_asc:
         raise ValueError(f"{criterion.value} is not an agreement criterion")
+    covered = parts.idx1.shape[1] + parts.idx2.shape[1]
+    if covered != data.n:
+        raise ValueError(f"partitions cover {covered} points but the data has {data.n} points")
     gram = gram_from_sq_dists(kernel, data.sq_dists)
     factor = chol_stack(_blocks(gram, parts.anchors, parts.anchors))
     ok = np.flatnonzero(np.isfinite(factor).all(axis=(1, 2)))

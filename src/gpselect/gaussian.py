@@ -94,10 +94,6 @@ class GaussianDist:
         factor, used = chol_spd(cov, name)
         return cls(mean=mean, cov=used, chol=factor)
 
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
 
 def condition(factor, cross, cov_target, observed, name: str = "conditional covariance") -> GaussianDist:
     """Zero-mean Gaussian over targets given observed values (GPML eqs. 2.23-2.24).

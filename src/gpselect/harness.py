@@ -175,7 +175,7 @@ def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=Non
                 asc_fracs.setdefault(crit.value, {})[name] = asc.failed_fraction
         try:
             predictive = predict(kernel, train, test.X)
-            scores[MSLL_COLUMN][name] = float(msll(predictive, test.y, train.y))
+            scores[MSLL_COLUMN][name] = msll(predictive.mean, np.diag(predictive.cov), test.y, train.y)
         except GpSelectError:
             scores[MSLL_COLUMN][name] = float("nan")
     ranks = {}

@@ -1,19 +1,19 @@
-"""Limited-memory quasi-Newton maximization of the selection criteria.
+"""Quasi-Newton (L-BFGS) maximization of the selection criteria.
 
-``optimize`` fits a kernel under one ``Criterion``. The evidence and
-leave-one-out fits use exact gradients computed from the same factorization
-as the value, and only at the points where the line search asks for one; the
-agreement criteria, over partitions the caller samples, use central finite
-differences. ``lbfgs_minimize`` always takes a gradient
-function. Failed evaluations (singular covariances, all partitions failed)
-act as an infinite penalty that the line search backs away from.
+``optimize`` fits a kernel under one ``Criterion``. Its objective returns the
+value and a thunk that gives the gradient at the same point, and
+``lbfgs_minimize`` calls the thunk only where the line search needs a slope.
+The evidence and leave-one-out thunks reuse the factorization of the value
+(exact gradients); the agreement criteria's thunk takes central finite
+differences over the partitions the caller samples. Failed evaluations
+(singular covariances, all partitions failed) act as an infinite penalty that
+the line search backs away from.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,7 @@ _NUMERICAL_FAILURES = (SingularCovariance, AllPartitionsFailed)
 # Any |theta| beyond this would overflow/underflow exp(); treat as failed.
 _THETA_BOUND = 300.0
 
-# L-BFGS memory length, gradient infinity-norm tolerance, and the relative
+# L-BFGS history length, gradient infinity-norm tolerance, and the relative
 # objective change over a window of iterations that counts as a stall.
 _HISTORY = 10
 _GTOL = 1e-5
@@ -97,16 +97,16 @@ class MinimizeResult:
     n_iter: int
 
 
-def _zoom(f, grad_dot, lo, hi, phi_lo, phi0, dphi0):
+def _zoom(f_line, lo, hi, phi_lo, phi0, dphi0):
     """Refine a bracketing interval until the strong Wolfe conditions hold."""
     result = None
     for _ in range(_ZOOM_ITERS):
         alpha = 0.5 * (lo + hi)
-        phi_a = f(alpha)
+        phi_a, slope = f_line(alpha)
         if not np.isfinite(phi_a) or phi_a > phi0 + _C1 * alpha * dphi0 or phi_a >= phi_lo:
             hi = alpha
         else:
-            dphi_a, g_a = grad_dot(alpha)
+            dphi_a, g_a = slope()
             if abs(dphi_a) <= -_C2 * dphi0:
                 return alpha, phi_a, g_a
             if dphi_a * (hi - lo) >= 0:
@@ -119,19 +119,23 @@ def _zoom(f, grad_dot, lo, hi, phi_lo, phi0, dphi0):
     return result
 
 
-def _wolfe_search(f_line, grad_dot, phi0, dphi0):
-    """Strong Wolfe line search; returns (alpha, f, gradient) or None."""
+def _wolfe_search(f_line, phi0, dphi0):
+    """Strong Wolfe line search; returns (alpha, f, gradient) or None.
+
+    ``f_line(alpha)`` gives ``(phi, slope)``, and ``slope()`` gives
+    ``(g @ direction, g)`` for the gradient g at that step.
+    """
     alpha_prev, phi_prev = 0.0, phi0
     alpha = 1.0
     for i in range(_SEARCH_ITERS):
-        phi_a = f_line(alpha)
+        phi_a, slope = f_line(alpha)
         if not np.isfinite(phi_a) or phi_a > phi0 + _C1 * alpha * dphi0 or (i > 0 and phi_a >= phi_prev):
-            return _zoom(f_line, grad_dot, alpha_prev, alpha, phi_prev, phi0, dphi0)
-        dphi_a, g_a = grad_dot(alpha)
+            return _zoom(f_line, alpha_prev, alpha, phi_prev, phi0, dphi0)
+        dphi_a, g_a = slope()
         if abs(dphi_a) <= -_C2 * dphi0:
             return alpha, phi_a, g_a
         if dphi_a >= 0:
-            return _zoom(f_line, grad_dot, alpha, alpha_prev, phi_a, phi0, dphi0)
+            return _zoom(f_line, alpha, alpha_prev, phi_a, phi0, dphi0)
         alpha_prev, phi_prev = alpha, phi_a
         if alpha >= _ALPHA_MAX:
             return alpha, phi_a, g_a
@@ -139,21 +143,22 @@ def _wolfe_search(f_line, grad_dot, phi0, dphi0):
     return None
 
 
-def lbfgs_minimize(f, jac, x0, *, maxiter: int = 200) -> MinimizeResult:
+def lbfgs_minimize(f, x0, *, maxiter: int = 200) -> MinimizeResult:
     """Minimize f with L-BFGS and strong Wolfe steps.
 
-    ``jac(x)`` returns the gradient of f at x; it is only asked for at points
-    where f was just evaluated and found finite.
+    ``f(x)`` returns ``(value, grad)``, where ``grad()`` gives the gradient of
+    f at that x. It is called only where the value is finite: at the start
+    point and at line-search points that passed the sufficient-decrease test.
 
     Stops on gradient infinity-norm below ``_GTOL``, on relative objective
     change below ``_STALL_RTOL`` over ``_STALL_WINDOW`` iterations, or after
     ``maxiter`` iterations (then ``converged`` is False).
     """
     x = np.asarray(x0, dtype=float).copy()
-    fx = f(x)
+    fx, grad_at = f(x)
     if not np.isfinite(fx):
         return MinimizeResult(x=x, fun=fx, converged=False, n_iter=0)
-    grad = jac(x)
+    grad = grad_at()
     s_hist: deque = deque(maxlen=_HISTORY)
     y_hist: deque = deque(maxlen=_HISTORY)
     rho_hist: deque = deque(maxlen=_HISTORY)
@@ -182,13 +187,15 @@ def lbfgs_minimize(f, jac, x0, *, maxiter: int = 200) -> MinimizeResult:
             direction = -grad
 
         def f_line(alpha):
-            return f(x + alpha * direction)
+            phi, grad_at = f(x + alpha * direction)
 
-        def grad_dot(alpha):
-            g_a = jac(x + alpha * direction)
-            return g_a @ direction, g_a
+            def slope():
+                g_a = grad_at()
+                return g_a @ direction, g_a
 
-        step = _wolfe_search(f_line, grad_dot, fx, grad @ direction)
+            return phi, slope
+
+        step = _wolfe_search(f_line, fx, grad @ direction)
         if step is None:
             break
         alpha, f_new, g_new = step
@@ -237,38 +244,25 @@ def optimize(
         Criterion.EVIDENCE: log_evidence_and_grad,
         Criterion.LOO: loo_cv_and_grad,
     }.get(criterion)
-    # One entry: the gradient callable of the last point f_min evaluated. The
-    # line search asks for a gradient only where it has just evaluated f and
-    # found sufficient decrease, so most evaluations never call it.
-    memo: dict[bytes, Callable[[], np.ndarray]] = {}
 
     def f_min(theta):
         theta = np.asarray(theta, dtype=float)
-        memo.clear()
         if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > _THETA_BOUND:
-            return np.inf
+            return np.inf, None
         try:
-            if value_and_grad is None:
-                value, _ = evaluate_criterion(criterion, template.with_theta(theta), data, parts)
-            else:
-                value, memo[theta.tobytes()] = value_and_grad(template.with_theta(theta), data)
+            if value_and_grad is not None:
+                value, grad = value_and_grad(template.with_theta(theta), data)
+                return sign * value, lambda: sign * grad()
+            value, _ = evaluate_criterion(criterion, template.with_theta(theta), data, parts)
         except _NUMERICAL_FAILURES:
-            return np.inf
-        return sign * value
-
-    def jac(theta):
-        if value_and_grad is None:
-            return finite_diff_gradient(f_min, theta)
-        key = np.asarray(theta, dtype=float).tobytes()
-        if key not in memo:
-            f_min(theta)
-        return sign * memo[key]()
+            return np.inf, None
+        return sign * value, lambda: finite_diff_gradient(lambda t: f_min(t)[0], theta)
 
     rng = np.random.default_rng(seed)
     inits = rng.uniform(-2.0, 2.0, size=(restarts, dim))
     best: MinimizeResult | None = None
     for i in range(restarts):
-        result = lbfgs_minimize(f_min, jac, inits[i])
+        result = lbfgs_minimize(f_min, inits[i])
         if not np.isfinite(result.fun):
             continue
         if best is None or result.fun < best.fun - 1e-12:

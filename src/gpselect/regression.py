@@ -151,24 +151,26 @@ def predict(kernel: KernelSpec, train: Dataset, xstar) -> GaussianDist:
     )
 
 
-def msll(predictive: GaussianDist, y_test, train_y) -> float:
-    """Mean standardized log loss of a predictive against held-out outputs.
+def msll(mean, var, y_test, train_y) -> float:
+    """Mean standardized log loss of marginal predictives against held-out outputs.
 
-    Per test point: negative log predictive density (marginal variance from
-    the predictive diagonal) minus the same loss under a single Gaussian
-    fitted to the training outputs. Negative values beat that baseline.
+    ``mean`` and ``var`` are the predictive mean and variance at each test
+    point. Per test point: negative log predictive density minus the same loss
+    under a single Gaussian fitted to the training outputs. Negative values
+    beat that baseline.
     """
+    mean = np.asarray(mean, dtype=float).reshape(-1)
+    var = np.asarray(var, dtype=float).reshape(-1)
     y_test = np.asarray(y_test, dtype=float).reshape(-1)
     train_y = np.asarray(train_y, dtype=float).reshape(-1)
-    if predictive.dim != y_test.size:
-        raise ValueError(f"predictive dimension {predictive.dim} != test length {y_test.size}")
+    if not mean.size == var.size == y_test.size:
+        raise ValueError(f"{mean.size} means and {var.size} variances for {y_test.size} test outputs")
     if train_y.size == 0:
         raise DegenerateBaseline("no training outputs for the trivial baseline")
     base_mean = float(np.mean(train_y))
     base_var = float(np.var(train_y))
     if not base_var > 0.0:
         raise DegenerateBaseline("training outputs have zero variance")
-    pred_var = np.diag(predictive.cov)
-    loss_model = 0.5 * (_LOG_2PI + np.log(pred_var) + (y_test - predictive.mean) ** 2 / pred_var)
+    loss_model = 0.5 * (_LOG_2PI + np.log(var) + (y_test - mean) ** 2 / var)
     loss_base = 0.5 * (_LOG_2PI + np.log(base_var) + (y_test - base_mean) ** 2 / base_var)
     return float(np.mean(loss_model - loss_base))

@@ -293,6 +293,14 @@ class TestEval:
         report = json.loads(out.read_text())
         assert abs(report["msll"]) < 1e-10
 
+    def test_trivial_baseline_builds_no_test_covariance(self, synth_files, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the trivial baseline needs no P x P covariance")
+
+        monkeypatch.setattr(gpselect.GaussianDist, "from_moments", refused)
+        train, test = synth_files
+        assert main(["eval", "--trivial", "--train", str(train), "--test", str(test)]) == 0
+
     def test_fitted_model_evaluates(self, synth_files, tmp_path):
         train, test = synth_files
         fit_path = tmp_path / "fit.json"

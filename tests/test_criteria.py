@@ -441,6 +441,17 @@ class TestAverageLogEta:
         assert score.n_failed == 3
         assert np.isfinite(score.value)
 
+    @pytest.mark.parametrize("n_parts", [8, 16])
+    def test_partitions_of_another_point_count_rejected(self, n_parts):
+        # a set for fewer points would score only its first points; one for
+        # more would index past the Gram
+        teacher = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.1)
+        data, _ = sample_synthetic(teacher, 12, 1, seed=3)
+        parts = sample_partitions(n_parts, AscConfig(M=2, J=4), 5)
+        for variant in ASC_CRITERIA:
+            with pytest.raises(ValueError, match=f"{n_parts} points.* 12 points"):
+                average_log_eta(teacher, data, parts, variant)
+
 
 class TestDenseReference:
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]))

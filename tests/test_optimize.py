@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from gpselect import (
 )
 from gpselect.harness import sample_synthetic
 from gpselect.optimize import lbfgs_minimize
+
+optimize_module = importlib.import_module("gpselect.optimize")
+EXACT_SEAMS = {Criterion.EVIDENCE: "log_evidence_and_grad", Criterion.LOO: "loo_cv_and_grad"}
 
 
 def se_template():
@@ -64,42 +69,50 @@ def rosen_grad(t):
     )
 
 
-def numeric_jac(f):
-    return lambda t: finite_diff_gradient(f, t)
+def with_gradient(f, grad):
+    """An objective for lbfgs_minimize: f's value and a thunk for grad at the same point."""
+    return lambda t: (f(t), lambda: grad(t))
+
+
+def numeric(f):
+    return with_gradient(f, lambda t: finite_diff_gradient(f, t))
+
+
+def refused():
+    raise AssertionError("no gradient is asked for where the value is not finite")
 
 
 class TestLbfgs:
     def test_quadratic_smoke(self):
-        result = lbfgs_minimize(
-            lambda t: float((t[0] - 3.0) ** 2), lambda t: 2.0 * (t - 3.0), np.array([-1.0])
-        )
+        quadratic = with_gradient(lambda t: float((t[0] - 3.0) ** 2), lambda t: 2.0 * (t - 3.0))
+        result = lbfgs_minimize(quadratic, np.array([-1.0]))
         assert result.converged
         assert result.x[0] == pytest.approx(3.0, abs=1e-6)
 
     def test_rosenbrock_2d(self):
-        result = lbfgs_minimize(rosen, numeric_jac(rosen), np.array([-1.2, 1.0]), maxiter=500)
+        result = lbfgs_minimize(numeric(rosen), np.array([-1.2, 1.0]), maxiter=500)
         np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-4)
 
     def test_infinite_region_avoided(self):
-        def f(t):
-            if t[0] < 0.5:
-                return np.inf
-            return float((t[0] - 1.0) ** 2)
+        def value(t):
+            return np.inf if t[0] < 0.5 else float((t[0] - 1.0) ** 2)
 
-        result = lbfgs_minimize(f, numeric_jac(f), np.array([4.0]))
+        def f(t):
+            if not np.isfinite(value(t)):
+                return np.inf, refused
+            return value(t), lambda: finite_diff_gradient(value, t)
+
+        result = lbfgs_minimize(f, np.array([4.0]))
         assert np.isfinite(result.fun)
         assert result.x[0] == pytest.approx(1.0, abs=1e-5)
 
     def test_rosenbrock_with_exact_jacobian(self):
-        result = lbfgs_minimize(rosen, rosen_grad, np.array([-1.2, 1.0]), maxiter=500)
+        result = lbfgs_minimize(with_gradient(rosen, rosen_grad), np.array([-1.2, 1.0]), maxiter=500)
         assert result.converged
         np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-4)
 
     def test_infinite_start_reported(self):
-        def no_gradient(t):
-            raise AssertionError("no gradient is needed at a non-finite start")
-
-        result = lbfgs_minimize(lambda t: np.inf, no_gradient, np.array([0.0]))
+        result = lbfgs_minimize(lambda t: (np.inf, refused), np.array([0.0]))
         assert not result.converged
         assert not np.isfinite(result.fun)
 
@@ -171,9 +184,6 @@ class TestOptimize:
         assert np.isfinite(result.objective_value)
 
     def test_all_failures_raise(self, monkeypatch):
-        import importlib
-
-        optimize_module = importlib.import_module("gpselect.optimize")
         rng = np.random.default_rng(7)
         model, data = random_gp_instance(rng, n_lo=8, n_hi=8)
 
@@ -187,14 +197,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO])
     def test_exact_fits_evaluate_each_point_once(self, monkeypatch, criterion):
-        import importlib
-
-        optimize_module = importlib.import_module("gpselect.optimize")
-        seam = {
-            Criterion.EVIDENCE: "log_evidence_and_grad",
-            Criterion.LOO: "loo_cv_and_grad",
-        }[criterion]
-        exact = getattr(optimize_module, seam)
+        exact = getattr(optimize_module, EXACT_SEAMS[criterion])
         visited = []
 
         def recording(model, data):
@@ -204,76 +207,80 @@ class TestOptimize:
         def no_finite_differences(*args, **kwargs):
             raise AssertionError("exact fits must not difference the objective")
 
-        monkeypatch.setattr(optimize_module, seam, recording)
+        monkeypatch.setattr(optimize_module, EXACT_SEAMS[criterion], recording)
         monkeypatch.setattr(optimize_module, "finite_diff_gradient", no_finite_differences)
         rng = np.random.default_rng(8)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
         result = optimize(criterion, se_template(), data, 2, seed=4)
         assert np.isfinite(result.objective_value)
-        # the line search's gradient request at a just-evaluated point is a memo hit
         repeats = sum(np.array_equal(a, b) for a, b in zip(visited, visited[1:]))
         assert repeats == 0
 
-    @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO])
+    @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO, Criterion.BETA_NOISE_ASC])
     def test_gradient_only_after_sufficient_decrease(self, monkeypatch, criterion):
-        import importlib
-
-        optimize_module = importlib.import_module("gpselect.optimize")
-        seam = {
-            Criterion.EVIDENCE: "log_evidence_and_grad",
-            Criterion.LOO: "loo_cv_and_grad",
-        }[criterion]
-        exact = getattr(optimize_module, seam)
         real_lbfgs = optimize_module.lbfgs_minimize
         real_search = optimize_module._wolfe_search
-        state = {"jac_calls": 0, "asking": False, "evals": 0, "grads": 0}
+        state = {"slopes": 0, "asking": False, "evals": 0, "grads": 0}
 
-        def counting(model, data):
-            value, grad = exact(model, data)
-            state["evals"] += 1
+        def counted(grad):
+            # computed only inside a gradient request from L-BFGS
+            assert state["asking"]
+            state["grads"] += 1
+            return grad()
 
-            def counted_grad():
-                # computed only inside a gradient request from L-BFGS
-                assert state["asking"]
-                state["grads"] += 1
-                return grad()
+        if criterion.is_asc:
+            real_fd = optimize_module.finite_diff_gradient
+            monkeypatch.setattr(
+                optimize_module, "finite_diff_gradient", lambda f, theta: counted(lambda: real_fd(f, theta))
+            )
+        else:
+            exact = getattr(optimize_module, EXACT_SEAMS[criterion])
 
-            return value, counted_grad
+            def counting(model, data):
+                value, grad = exact(model, data)
+                return value, lambda: counted(grad)
 
-        def lbfgs(f, jac, x0, **kwargs):
+            monkeypatch.setattr(optimize_module, EXACT_SEAMS[criterion], counting)
+
+        def lbfgs(f, x0, **kwargs):
             def asked(theta):
-                state["asking"] = True
-                try:
-                    return jac(theta)
-                finally:
-                    state["asking"] = False
+                state["evals"] += 1
+                value, grad = f(theta)
 
-            return real_lbfgs(f, asked, x0, **kwargs)
+                def requested():
+                    state["asking"] = True
+                    try:
+                        return grad()
+                    finally:
+                        state["asking"] = False
 
-        def search(f_line, grad_dot, phi0, dphi0):
-            seen = {}
+                return value, requested
 
-            def f_rec(alpha):
-                seen[alpha] = f_line(alpha)
-                return seen[alpha]
+            return real_lbfgs(asked, x0, **kwargs)
 
-            def g_checked(alpha):
-                # the Armijo condition with the line search's c1
-                assert seen[alpha] <= phi0 + optimize_module._C1 * alpha * dphi0
-                state["jac_calls"] += 1
-                return grad_dot(alpha)
+        def search(f_line, phi0, dphi0):
+            def f_checked(alpha):
+                phi, slope = f_line(alpha)
 
-            return real_search(f_rec, g_checked, phi0, dphi0)
+                def checked():
+                    # the Armijo condition with the line search's c1
+                    assert phi <= phi0 + optimize_module._C1 * alpha * dphi0
+                    state["slopes"] += 1
+                    return slope()
 
-        monkeypatch.setattr(optimize_module, seam, counting)
+                return phi, checked
+
+            return real_search(f_checked, phi0, dphi0)
+
         monkeypatch.setattr(optimize_module, "lbfgs_minimize", lbfgs)
         monkeypatch.setattr(optimize_module, "_wolfe_search", search)
         rng = np.random.default_rng(8)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        result = optimize(criterion, se_template(), data, 3, seed=4)
+        parts = sample_partitions(data.n, AscConfig(M=1, J=4), 2) if criterion.is_asc else None
+        result = optimize(criterion, se_template(), data, 3, seed=4, parts=parts)
         assert np.isfinite(result.objective_value)
         # one gradient per restart's start, and one per line-search point that passed
-        assert state["grads"] == state["jac_calls"] + 3
+        assert state["grads"] == state["slopes"] + 3
         assert state["grads"] < state["evals"]
 
     def test_evidence_recovers_teacher_scale(self):

@@ -9,7 +9,6 @@ from _oracles import evidence_gradient_oracle, mvn_logpdf, random_gp_instance
 from gpselect import (
     Dataset,
     DegenerateBaseline,
-    GaussianDist,
     KernelSpec,
     KernelStructure,
     finite_diff_gradient,
@@ -234,28 +233,31 @@ class TestMsll:
     def test_baseline_predictive_scores_zero(self):
         train_y = np.array([0.2, 0.8, -0.3, 1.1])
         y_test = np.array([0.0, 0.5])
-        base = GaussianDist.from_moments(
-            np.full(2, train_y.mean()), np.var(train_y) * np.eye(2)
-        )
-        assert msll(base, y_test, train_y) == pytest.approx(0.0, abs=1e-12)
+        base_mean, base_var = np.full(2, train_y.mean()), np.full(2, np.var(train_y))
+        assert msll(base_mean, base_var, y_test, train_y) == pytest.approx(0.0, abs=1e-12)
 
     def test_sharp_centered_predictive_is_negative(self):
         train_y = np.array([0.0, 2.0, -2.0, 1.0])
         y_test = np.array([0.5, -0.5])
-        sharp = GaussianDist.from_moments(y_test, 0.01 * np.eye(2))
-        assert msll(sharp, y_test, train_y) < 0
+        assert msll(y_test, np.full(2, 0.01), y_test, train_y) < 0
 
     def test_two_point_hand_computation(self):
         train_y = np.array([1.0, 3.0])  # mean 2, population variance 1
         y_test = np.array([2.0, 4.0])
-        pred = GaussianDist.from_moments(np.array([2.5, 3.5]), np.diag([0.25, 4.0]))
         by_hand = 0.0
         for y, m, v in zip(y_test, [2.5, 3.5], [0.25, 4.0]):
             by_hand += 0.5 * (math.log(2 * math.pi * v) + (y - m) ** 2 / v)
             by_hand -= 0.5 * (math.log(2 * math.pi * 1.0) + (y - 2.0) ** 2 / 1.0)
-        assert msll(pred, y_test, train_y) == pytest.approx(by_hand / 2, rel=1e-12)
+        value = msll(np.array([2.5, 3.5]), np.array([0.25, 4.0]), y_test, train_y)
+        assert value == pytest.approx(by_hand / 2, rel=1e-12)
 
     def test_zero_variance_baseline_raises(self):
-        pred = GaussianDist.from_moments([0.0], [[1.0]])
         with pytest.raises(DegenerateBaseline):
-            msll(pred, [0.0], np.array([1.0, 1.0, 1.0]))
+            msll([0.0], [1.0], [0.0], np.array([1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "mean, var, y_test", [([0.0], [1.0, 1.0], [0.0]), ([0.0, 0.0], [1.0], [0.0]), ([0.0], [1.0], [0.0, 1.0])]
+    )
+    def test_length_mismatch_raises(self, mean, var, y_test):
+        with pytest.raises(ValueError, match="test outputs"):
+            msll(mean, var, y_test, np.array([0.0, 2.0]))
