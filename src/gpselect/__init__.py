@@ -26,7 +26,6 @@ from .gaussian import (
 )
 from .harness import (
     ExperimentConfig,
-    RankingReport,
     aggregate_ranks,
     load_csv_dataset,
     rank_students,
@@ -54,7 +53,6 @@ __all__ = [
     "OptResult",
     "OptimizationFailed",
     "Partitions",
-    "RankingReport",
     "SchemaError",
     "SingularCovariance",
     "aggregate_ranks",

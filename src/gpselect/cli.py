@@ -120,6 +120,8 @@ def cmd_fit(args) -> int:
     criterion = Criterion(args.criterion)
     if args.restarts < 1:
         raise UsageError("--restarts must be at least 1")
+    if criterion is Criterion.LOO and train.n < 2:
+        raise UsageError(f"leave-one-out needs at least 2 rows, {args.train} has {train.n}")
     asc = parts = None
     if criterion.is_asc:
         try:
@@ -215,26 +217,10 @@ def cmd_rank(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from err
     report = run_ranking(cfg)
-    echo = {
-        "command": "rank",
-        "students": students,
-        "criteria": criteria,
-        "fit_criterion": args.fit_criterion,
-        "replicates": args.replicates,
-        "n_train": args.n_train,
-        "n_test": args.n_test,
-        "asc": {"J": args.J, "M": args.M},
-        "seed": seed,
-        "restarts": args.restarts,
-        "teacher": None
-        if teacher is None
-        else {"kernel": args.teacher_kernel, "params": teacher.named_params()},
-        "data": None if data is None else data.meta,
-    }
     out = Path(args.out)
     json_path = out.with_suffix(".json")
     csv_path = out.with_suffix(".csv")
-    write_report(report.to_dict(config_echo=echo), json_path)
+    write_report(report, json_path)
     write_rank_csv(report, csv_path)
     print(json_path)
     print(csv_path)
@@ -266,6 +252,11 @@ def cmd_eval(args) -> int:
             )
         except (KeyError, TypeError, ValueError) as err:
             raise UsageError(f"{args.model} does not contain a valid fitted kernel: {err}") from err
+        recorded = fitted.get("input_columns")
+        if input_cols is None:
+            input_cols = recorded
+        elif recorded is not None and input_cols != recorded:
+            raise UsageError(f"--input-cols {input_cols} differ from the model's input columns {recorded}")
         std = fitted.get("input_standardization") or {}
         shift, scale = std.get("shift"), std.get("scale")
         train = _load(args.train, input_cols, args.output_col, shift=shift, scale=scale)

@@ -6,13 +6,17 @@ all requested criteria plus held-out test loss, and aggregates per-criterion
 mean ranks with normal-approximation confidence intervals. Each replicate's
 data, partitions and restarts are seeded from the master seed and the
 replicate index alone, so a report is deterministic for a given seed.
+
+The rank report is one JSON-ready dict, built by ``run_ranking`` from the
+``ExperimentConfig`` that ran; ``write_report`` and ``write_rank_csv`` write
+it as it is.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import metadata
 
 import numpy as np
@@ -73,6 +77,10 @@ class ExperimentConfig:
             raise ValueError(f"n_test={self.n_test}, need at least one test point")
         if self.restarts < 1:
             raise ValueError("need at least one optimizer restart")
+        if self.n_train < 1:
+            raise ValueError(f"n_train={self.n_train}, need at least one training point")
+        if self.n_train < 2 and Criterion.LOO in (*self.criteria, self.fit_criterion):
+            raise ValueError(f"n_train={self.n_train} too small for leave-one-out")
         if any(c.is_asc for c in self.criteria) and self.n_train < 2 * self.asc.M:
             raise ValueError(f"n_train={self.n_train} too small for M={self.asc.M}")
         if self.fit_criterion.is_asc:
@@ -113,26 +121,6 @@ def sample_synthetic(
     return train, test
 
 
-@dataclass(frozen=True)
-class ReplicateResult:
-    scores: dict
-    ranks: dict
-    test_msll: dict
-    theta: dict
-    fit_failures: tuple[str, ...]
-    asc_failed_fraction: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "scores": self.scores,
-            "ranks": self.ranks,
-            "test_msll": self.test_msll,
-            "theta": self.theta,
-            "fit_failures": list(self.fit_failures),
-            "asc_failed_fraction": self.asc_failed_fraction,
-        }
-
-
 def _midranks(values, higher_better: bool) -> np.ndarray:
     """Best-first average ranks; missing scores count as worst."""
     arr = np.asarray(values, dtype=float)
@@ -141,24 +129,27 @@ def _midranks(values, higher_better: bool) -> np.ndarray:
     return rankdata(-arr if higher_better else arr, method="average")
 
 
-def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=None) -> ReplicateResult:
-    """Fit and score all student kernels on one train/test replicate."""
+def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=None) -> dict:
+    """Fit and score all student kernels on one train/test replicate.
+
+    Returns the replicate's report entry: ``scores`` and ``ranks`` as
+    ``{column: {student: value}}``, and ``test_msll``, ``theta`` (fitted log
+    parameters, None where the fit failed), ``fit_failures`` and
+    ``asc_failed_fraction`` (``{criterion: {student: fraction}}``).
+    """
     base = cfg.seed if seed is None else seed
     parts = None
     if any(c.is_asc for c in cfg.criteria):
         parts = sample_partitions(train.n, cfg.asc, derived_seed(base, 1))
-    names = [s.value for s in cfg.students]
     scores: dict = {col: {} for col in cfg.columns}
     asc_fracs: dict = {}
     thetas: dict = {}
-    failures = []
     for si, structure in enumerate(cfg.students):
         name = structure.value
         template = kernel_template(structure)
         try:
             fit = optimize(cfg.fit_criterion, template, train, cfg.restarts, derived_seed(base, 2, si))
         except OptimizationFailed:
-            failures.append(name)
             for col in cfg.columns:
                 scores[col][name] = float("nan")
             thetas[name] = None
@@ -179,111 +170,91 @@ def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=Non
         except GpSelectError:
             scores[MSLL_COLUMN][name] = float("nan")
     ranks = {}
-    for col in cfg.columns:
-        col_ranks = _midranks([scores[col][n] for n in names], _HIGHER_BETTER[col])
-        ranks[col] = {n: float(r) for n, r in zip(names, col_ranks)}
-    return ReplicateResult(
-        scores=scores,
-        ranks=ranks,
-        test_msll=dict(scores[MSLL_COLUMN]),
-        theta=thetas,
-        fit_failures=tuple(failures),
-        asc_failed_fraction=asc_fracs,
-    )
+    for col, col_scores in scores.items():
+        col_ranks = _midranks(list(col_scores.values()), _HIGHER_BETTER[col])
+        ranks[col] = {n: float(r) for n, r in zip(col_scores, col_ranks)}
+    return {
+        "scores": scores,
+        "ranks": ranks,
+        "test_msll": dict(scores[MSLL_COLUMN]),
+        "theta": thetas,
+        "fit_failures": [n for n, theta in thetas.items() if theta is None],
+        "asc_failed_fraction": asc_fracs,
+    }
 
 
-@dataclass(frozen=True)
-class RankingReport:
-    students: tuple[str, ...]
-    columns: tuple[str, ...]
-    mean_rank: dict
-    ci_halfwidth: dict
-    replicates: tuple[ReplicateResult, ...]
-    failed_replicates: int = 0
-
-    def to_dict(self, config_echo: dict | None = None) -> dict:
-        out = {
-            "students": list(self.students),
-            "columns": list(self.columns),
-            "aggregate": {
-                col: {
-                    name: {
-                        "mean_rank": self.mean_rank[col][name],
-                        "ci_halfwidth": self.ci_halfwidth[col][name],
-                    }
-                    for name in self.students
-                }
-                for col in self.columns
-            },
-            "replicates": [rep.to_dict() for rep in self.replicates],
-            "failed_replicates": self.failed_replicates,
-            "versions": package_versions(),
-        }
-        if config_echo is not None:
-            out["config"] = config_echo
-        return out
-
-
-def aggregate_ranks(replicates: list[ReplicateResult]) -> RankingReport:
-    """Mean rank and 95% half-width (1.96 * sd / sqrt(R)) per column and student."""
+def aggregate_ranks(replicates: list[dict]) -> dict:
+    """Mean rank and 95% half-width (1.96 * sd / sqrt(R)) of ``rank_students`` entries,
+    as ``{column: {student: {"mean_rank": ..., "ci_halfwidth": ...}}}``."""
     if not replicates:
         raise ValueError("need at least one replicate")
-    columns = tuple(replicates[0].ranks.keys())
-    students = tuple(replicates[0].ranks[columns[0]].keys())
-    mean_rank: dict = {}
-    ci: dict = {}
     r = len(replicates)
-    for col in columns:
-        mean_rank[col] = {}
-        ci[col] = {}
-        for name in students:
-            vals = np.array([rep.ranks[col][name] for rep in replicates])
-            mean_rank[col][name] = float(np.mean(vals))
-            ci[col][name] = float(1.96 * np.std(vals, ddof=1) / np.sqrt(r)) if r > 1 else 0.0
-    return RankingReport(
-        students=students,
-        columns=columns,
-        mean_rank=mean_rank,
-        ci_halfwidth=ci,
-        replicates=tuple(replicates),
-    )
+    aggregate: dict = {}
+    for col, col_ranks in replicates[0]["ranks"].items():
+        aggregate[col] = {}
+        for name in col_ranks:
+            vals = np.array([rep["ranks"][col][name] for rep in replicates])
+            aggregate[col][name] = {
+                "mean_rank": float(np.mean(vals)),
+                "ci_halfwidth": float(1.96 * np.std(vals, ddof=1) / np.sqrt(r)) if r > 1 else 0.0,
+            }
+    return aggregate
 
 
 def _replicate_datasets(cfg: ExperimentConfig, r: int) -> tuple[Dataset, Dataset]:
     data_seed = derived_seed(cfg.seed, r, 0)
     if cfg.teacher is not None:
         return sample_synthetic(cfg.teacher, cfg.n_train, cfg.n_test, cfg.input_range, data_seed)
-    data = cfg.data
-    rng = np.random.default_rng(data_seed)
-    perm = rng.permutation(data.n)
-    n_test = min(cfg.n_test, data.n - cfg.n_train)
-    train_idx = perm[: cfg.n_train]
-    test_idx = perm[cfg.n_train : cfg.n_train + n_test]
-    train = Dataset(data.X[:, train_idx], data.y[train_idx])
-    test = Dataset(data.X[:, test_idx], data.y[test_idx])
-    return train, test
+    # slicing clips the test set to the rows left after the training set
+    perm = np.random.default_rng(data_seed).permutation(cfg.data.n)
+    splits = perm[: cfg.n_train], perm[cfg.n_train : cfg.n_train + cfg.n_test]
+    return tuple(Dataset(cfg.data.X[:, idx], cfg.data.y[idx]) for idx in splits)
 
 
-def run_ranking(cfg: ExperimentConfig) -> RankingReport:
+def run_ranking(cfg: ExperimentConfig) -> dict:
     """Full replicated ranking experiment; deterministic for a given seed.
 
     A replicate that fails wholesale (e.g. its teacher draw is numerically
     singular) is dropped and counted; the run only fails if no replicate
-    survives.
+    survives. Returns the report: ``students``, ``columns``, the
+    ``aggregate_ranks`` table, the surviving ``replicates`` entries,
+    ``failed_replicates``, package ``versions`` and the ``config`` that ran.
     """
-
-    def one(r: int) -> ReplicateResult | None:
+    survivors = []
+    for r in range(cfg.replicates):
         try:
             train, test = _replicate_datasets(cfg, r)
-            return rank_students(cfg, train, test, seed=derived_seed(cfg.seed, r))
+            survivors.append(rank_students(cfg, train, test, seed=derived_seed(cfg.seed, r)))
         except GpSelectError:
-            return None
-
-    results = [one(r) for r in range(cfg.replicates)]
-    survivors = [rep for rep in results if rep is not None]
+            continue
     if not survivors:
         raise OptimizationFailed(f"all {cfg.replicates} replicates failed")
-    return replace(aggregate_ranks(survivors), failed_replicates=len(results) - len(survivors))
+    students = [s.value for s in cfg.students]
+    teacher = cfg.teacher
+    return {
+        "students": students,
+        "columns": list(cfg.columns),
+        "aggregate": aggregate_ranks(survivors),
+        "replicates": survivors,
+        "failed_replicates": cfg.replicates - len(survivors),
+        "versions": package_versions(),
+        "config": {
+            "command": "rank",
+            "students": students,
+            "criteria": [c.value for c in cfg.criteria],
+            "fit_criterion": cfg.fit_criterion.value,
+            "replicates": cfg.replicates,
+            "n_train": cfg.n_train,
+            "n_test": cfg.n_test,
+            "asc": {"J": cfg.asc.J, "M": cfg.asc.M},
+            "seed": cfg.seed,
+            "restarts": cfg.restarts,
+            "teacher": None
+            if teacher is None
+            else {"kernel": teacher.structure.value, "params": teacher.named_params()},
+            "data": None if cfg.data is None else cfg.data.meta,
+        },
+    }
 
 
 def load_csv_dataset(path, input_columns, output_column, *, shift=None, scale=None) -> Dataset:
@@ -361,12 +332,11 @@ def write_report(report: dict, path) -> None:
         fh.write("\n")
 
 
-def write_rank_csv(report: RankingReport, path) -> None:
+def write_rank_csv(report: dict, path) -> None:
+    """One row per (criterion, kernel) cell of the report's aggregate table."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["criterion", "kernel", "mean_rank", "ci_halfwidth"])
-        for col in report.columns:
-            for name in report.students:
-                writer.writerow(
-                    [col, name, repr(report.mean_rank[col][name]), repr(report.ci_halfwidth[col][name])]
-                )
+        for col, cells in report["aggregate"].items():
+            for name, cell in cells.items():
+                writer.writerow([col, name, repr(cell["mean_rank"]), repr(cell["ci_halfwidth"])])

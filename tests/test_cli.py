@@ -174,6 +174,13 @@ class TestFit:
         assert main(args + ["--seed", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_leave_one_out_on_one_row_exits_2(self, tmp_path, capsys):
+        code, train, _ = run_synth(tmp_path, n_train=1)
+        assert code == 0
+        capsys.readouterr()
+        assert main(["fit", "--train", str(train), "--kernel", "se", "--criterion", "loo"]) == 2
+        assert "leave-one-out" in capsys.readouterr().err
+
     def test_value_error_in_numerical_code_exits_3(self, synth_files, monkeypatch, capsys):
         import importlib
 
@@ -274,6 +281,10 @@ class TestRank:
             ["--criteria", "evidence,loo,evidence"],
             ["--n-test", "0"],
             ["--restarts", "0"],
+            ["--n-train", "-5", "--criteria", "evidence"],
+            ["--n-train", "0", "--criteria", "evidence"],
+            ["--n-train", "1"],
+            ["--n-train", "1", "--criteria", "evidence", "--fit-criterion", "loo"],
         ],
     )
     def test_invalid_argument_value_exits_2(self, tmp_path, extra):
@@ -341,6 +352,25 @@ class TestEval:
         assert code == 0
         report = json.loads(out.read_text())
         assert np.isfinite(report["msll"])
+
+    def test_model_reads_the_input_columns_it_was_fitted_on(self, tmp_path):
+        rng = np.random.default_rng(23)
+        x1, x2 = rng.uniform(0, 1, 40), rng.uniform(0, 10, 40)
+        y = np.sin(x2) + 0.05 * rng.standard_normal(40)
+        for name, rows in (("train", slice(0, 24)), ("test", slice(24, 40))):
+            lines = [f"{a},{b},{c}" for a, b, c in zip(x1[rows], x2[rows], y[rows])]
+            (tmp_path / f"{name}.csv").write_text("\n".join(["x1,x2,y", *lines]) + "\n")
+        files = ["--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv")]
+        fit = ["fit", "--kernel", "se", "--criterion", "evidence", "--seed", "1", "--input-cols", "x2,x1"]
+        assert main([*fit, "--train", files[1], "--out", str(tmp_path / "fit.json")]) == 0
+        evals = {}
+        for label, cols in (("recorded", []), ("same", ["--input-cols", "x2,x1"])):
+            out = tmp_path / f"eval_{label}.json"
+            assert main(["eval", "--model", str(tmp_path / "fit.json"), *files, *cols, "--out", str(out)]) == 0
+            evals[label] = json.loads(out.read_text())["msll"]
+        assert evals["recorded"] == evals["same"]
+        model = ["eval", "--model", str(tmp_path / "fit.json"), *files]
+        assert main([*model, "--input-cols", "x1,x2"]) == 2
 
     def test_missing_test_file_exits_2(self, synth_files, tmp_path):
         train, _ = synth_files

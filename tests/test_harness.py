@@ -111,14 +111,14 @@ class TestRankStudents:
         train, test = sample_synthetic(teacher(), cfg.n_train, cfg.n_test, seed=1)
         result = rank_students(cfg, train, test, seed=5)
         for col in cfg.columns:
-            assert result.ranks[col]["se"] == 1.0
+            assert result["ranks"][col]["se"] == 1.0
 
     def test_ranks_are_midrank_permutations(self):
         cfg = tiny_config()
         train, test = sample_synthetic(teacher(), cfg.n_train, cfg.n_test, seed=2)
         result = rank_students(cfg, train, test, seed=6)
         for col in cfg.columns:
-            ranks = sorted(result.ranks[col].values())
+            ranks = sorted(result["ranks"][col].values())
             assert sum(ranks) == pytest.approx(len(ranks) * (len(ranks) + 1) / 2)
 
     def test_failed_fit_gets_worst_rank(self, monkeypatch):
@@ -133,28 +133,28 @@ class TestRankStudents:
         cfg = tiny_config()
         train, test = sample_synthetic(teacher(), cfg.n_train, cfg.n_test, seed=3)
         result = rank_students(cfg, train, test, seed=8)
-        assert result.fit_failures == ("exp",)
+        assert result["fit_failures"] == ["exp"]
         for col in cfg.columns:
-            assert result.ranks[col]["exp"] == 2.0  # worst of two students
+            assert result["ranks"][col]["exp"] == 2.0  # worst of two students
 
 
 class TestAggregateRanks:
     def test_single_replicate_zero_halfwidth(self):
         cfg = tiny_config(replicates=1)
         report = run_ranking(cfg)
-        for col in report.columns:
-            for name in report.students:
-                assert report.ci_halfwidth[col][name] == 0.0
+        for col in report["columns"]:
+            for name in report["students"]:
+                assert report["aggregate"][col][name]["ci_halfwidth"] == 0.0
 
     def test_constant_ranks_zero_halfwidth(self):
         cfg = tiny_config()
         train, test = sample_synthetic(teacher(), cfg.n_train, cfg.n_test, seed=4)
         rep = rank_students(cfg, train, test, seed=9)
-        report = aggregate_ranks([rep, rep, rep])
-        for col in report.columns:
-            for name in report.students:
-                assert report.ci_halfwidth[col][name] == 0.0
-                assert report.mean_rank[col][name] == rep.ranks[col][name]
+        aggregate = aggregate_ranks([rep, rep, rep])
+        for col in cfg.columns:
+            for name in ("se", "exp"):
+                assert aggregate[col][name]["ci_halfwidth"] == 0.0
+                assert aggregate[col][name]["mean_rank"] == rep["ranks"][col][name]
 
     def test_mean_matches_known_distribution(self):
         # Monte Carlo oracle on synthetic rank draws
@@ -170,21 +170,12 @@ class TestAggregateRanks:
             seed=10,
         )
         for value in draws:
-            ranks = {col: {"se": float(value)} for col in base.ranks}
-            reps.append(
-                type(base)(
-                    scores=base.scores,
-                    ranks=ranks,
-                    test_msll=base.test_msll,
-                    theta=base.theta,
-                    fit_failures=(),
-                    asc_failed_fraction={},
-                )
-            )
-        report = aggregate_ranks(reps)
+            ranks = {col: {"se": float(value)} for col in base["ranks"]}
+            reps.append({**base, "ranks": ranks})
+        aggregate = aggregate_ranks(reps)
         se = float(np.std(draws, ddof=1) / np.sqrt(100))
-        for col in report.columns:
-            assert abs(report.mean_rank[col]["se"] - true_mean) < 3 * se + 1e-12
+        for col in base["ranks"]:
+            assert abs(aggregate[col]["se"]["mean_rank"] - true_mean) < 3 * se + 1e-12
 
 
 class TestExperimentConfig:
@@ -198,6 +189,13 @@ class TestExperimentConfig:
             (
                 {"criteria": ("evidence", "basc"), "n_train": 3, "asc": AscConfig(M=2, J=4)},
                 "n_train=3 too small for M=2",
+            ),
+            ({"n_train": 0, "criteria": ("evidence",)}, "n_train=0"),
+            ({"n_train": -5, "criteria": ("evidence",)}, "n_train=-5"),
+            ({"n_train": 1}, "n_train=1 too small for leave-one-out"),
+            (
+                {"n_train": 1, "criteria": ("evidence",), "fit_criterion": "loo"},
+                "n_train=1 too small for leave-one-out",
             ),
         ],
     )
@@ -215,7 +213,7 @@ class TestExperimentConfig:
         monkeypatch.setattr(harness_module, "sample_partitions", no_partitions)
         train, test = sample_synthetic(teacher(), cfg.n_train, cfg.n_test, seed=1)
         result = rank_students(cfg, train, test)
-        assert set(result.scores) == {"evidence", "loo", "msll"}
+        assert set(result["scores"]) == {"evidence", "loo", "msll"}
 
 
 class TestRunRanking:
@@ -225,8 +223,37 @@ class TestRunRanking:
         y = np.sin(x[0]) + 0.1 * rng.standard_normal(40)
         cfg = tiny_config(teacher=None, data=Dataset(x, y), n_train=12, n_test=10, replicates=2)
         report = run_ranking(cfg)
-        assert set(report.students) == {"se", "exp"}
-        assert report.failed_replicates == 0
+        assert set(report["students"]) == {"se", "exp"}
+        assert report["failed_replicates"] == 0
+
+    @pytest.mark.parametrize("mode", ["synthetic", "real"])
+    def test_config_block_echoes_the_config_that_ran(self, mode):
+        overrides = {"replicates": 1, "restarts": 1, "fit_criterion": "loo"}
+        if mode == "real":
+            rng = np.random.default_rng(19)
+            x = rng.uniform(0, 10, (1, 30))
+            data = Dataset(x, np.sin(x[0]), {"source": "in-memory", "skipped_rows": 0})
+            overrides.update(teacher=None, data=data)
+        cfg = tiny_config(**overrides)
+        config = run_ranking(cfg)["config"]
+        if mode == "real":
+            assert config.pop("data") == cfg.data.meta
+            assert config.pop("teacher") is None
+        else:
+            assert config.pop("teacher") == {"kernel": "se", "params": cfg.teacher.named_params()}
+            assert config.pop("data") is None
+        assert config == {
+            "command": "rank",
+            "students": ["se", "exp"],
+            "criteria": ["evidence", "loo"],
+            "fit_criterion": "loo",
+            "replicates": 1,
+            "n_train": 12,
+            "n_test": 6,
+            "asc": {"J": 4, "M": 1},
+            "seed": 7,
+            "restarts": 1,
+        }
 
 
 class TestLoadCsv:

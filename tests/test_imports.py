@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "gpselect").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = [
+    path for part in ("src/gpselect", "tests", "scripts") for path in sorted((ROOT / part).glob("*.py"))
+]
 
 
 def unused_imports(source: str) -> list[str]:
