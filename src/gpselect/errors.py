@@ -2,19 +2,32 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import Callable
+
 
 class GpSelectError(Exception):
     """Base class for all library-specific failures."""
 
 
 class SingularCovariance(GpSelectError):
-    """A covariance matrix failed Cholesky factorization even after jitter."""
+    """A covariance matrix failed Cholesky factorization even after jitter.
 
-    def __init__(self, message: str, smallest_pivot: float | None = None):
-        if smallest_pivot is not None:
-            message = f"{message} (smallest pivot {smallest_pivot:.3e})"
+    ``pivot`` computes the failed matrix's smallest pivot. Most such failures
+    are caught unread, so it runs only when ``smallest_pivot`` or the message is read.
+    """
+
+    def __init__(self, message: str, pivot: Callable[[], float | None] | None = None):
         super().__init__(message)
-        self.smallest_pivot = smallest_pivot
+        self._pivot = pivot
+
+    @cached_property
+    def smallest_pivot(self) -> float | None:
+        return None if self._pivot is None else self._pivot()
+
+    def __str__(self) -> str:
+        pivot = self.smallest_pivot
+        return super().__str__() + ("" if pivot is None else f" (smallest pivot {pivot:.3e})")
 
 
 class InsufficientData(GpSelectError):

@@ -13,6 +13,7 @@ are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve, ldl, solve_triangular
@@ -21,37 +22,41 @@ from .errors import SingularCovariance
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Escalating diagonal jitter, as multiples of the mean diagonal entry.
-_JITTER_SCALES = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+# Escalating diagonal jitter, as multiples of the mean diagonal entry, tried
+# after the matrix fails to factor as given.
+_JITTER_SCALES = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
 def chol_spd(mat: np.ndarray, name: str = "covariance") -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factor of a (nearly) SPD matrix.
+    """Lower Cholesky factor of a (nearly) SPD matrix, which must be symmetric.
 
-    The matrix is symmetrized first; on factorization failure the diagonal is
-    jittered by 1e-10 .. 1e-6 times the mean diagonal entry, escalating x10.
-    Returns ``(factor, matrix actually factored)`` so callers can keep the two
-    consistent. Raises :class:`SingularCovariance` carrying the smallest
-    pivot once the jitter ladder is exhausted, or at once for a non-finite entry.
+    The matrix is factored as given, reading only its lower triangle, so the
+    caller symmetrizes it if need be. On failure a copy's diagonal is jittered
+    by 1e-10 .. 1e-6 times the mean diagonal entry, escalating x10. Returns
+    ``(factor, matrix actually factored)`` so callers can keep the two
+    consistent. Raises :class:`SingularCovariance` once the jitter ladder is
+    exhausted, or at once for a non-finite entry; the smallest pivot it
+    reports is computed only when read.
     """
     mat = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(mat)):
         raise SingularCovariance(f"{name} has a non-finite entry")
-    sym = 0.5 * (mat + mat.T)
-    n = sym.shape[0]
-    base = np.trace(sym) / n if n else 0.0
+    try:
+        return np.linalg.cholesky(mat), mat
+    except np.linalg.LinAlgError:
+        pass
+    n = mat.shape[0]
+    base = np.trace(mat) / n
     if not np.isfinite(base) or base <= 0.0:
         base = 1.0  # zero/negative diagonal: fall back to absolute jitter
-    eye = np.eye(n)
+    shifted = mat.copy()
     for scale in _JITTER_SCALES:
-        shifted = sym if scale == 0.0 else sym + (scale * base) * eye
+        np.fill_diagonal(shifted, mat.diagonal() + scale * base)
         try:
             return np.linalg.cholesky(shifted), shifted
         except np.linalg.LinAlgError:
             continue
-    raise SingularCovariance(
-        f"{name} is not positive-definite", smallest_pivot=_smallest_pivot(sym)
-    )
+    raise SingularCovariance(f"{name} is not positive-definite", pivot=partial(_smallest_pivot, mat))
 
 
 def _smallest_pivot(sym: np.ndarray) -> float | None:
@@ -91,7 +96,7 @@ class GaussianDist:
             )
         if cov.size and float(np.max(np.abs(cov - cov.T))) > 1e-10:
             raise ValueError("covariance is asymmetric beyond tolerance 1e-10")
-        factor, used = chol_spd(cov, name)
+        factor, used = chol_spd(0.5 * (cov + cov.T), name)
         return cls(mean=mean, cov=used, chol=factor)
 
 

@@ -87,8 +87,8 @@ class ExperimentConfig:
             raise ValueError("hyperparameters are fitted by evidence or leave-one-out only")
         if (self.teacher is None) == (self.data is None):
             raise ValueError("exactly one of teacher (synthetic) or data (real) must be set")
-        if self.data is not None and self.data.n < self.n_train + 1:
-            raise ValueError(f"dataset has {self.data.n} rows, need more than n_train={self.n_train}")
+        if self.data is not None and self.data.n < self.n_train + self.n_test:
+            raise ValueError(f"dataset has {self.data.n} rows, need n_train + n_test = {self.n_train + self.n_test}")
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -205,7 +205,6 @@ def _replicate_datasets(cfg: ExperimentConfig, r: int) -> tuple[Dataset, Dataset
     data_seed = derived_seed(cfg.seed, r, 0)
     if cfg.teacher is not None:
         return sample_synthetic(cfg.teacher, cfg.n_train, cfg.n_test, cfg.input_range, data_seed)
-    # slicing clips the test set to the rows left after the training set
     perm = np.random.default_rng(data_seed).permutation(cfg.data.n)
     splits = perm[: cfg.n_train], perm[cfg.n_train : cfg.n_train + cfg.n_test]
     return tuple(Dataset(cfg.data.X[:, idx], cfg.data.y[idx]) for idx in splits)

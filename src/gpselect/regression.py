@@ -1,4 +1,11 @@
-"""Zero-mean Gaussian-process regression: predictives and the classic objectives."""
+"""Zero-mean Gaussian-process regression: predictives and the classic objectives.
+
+Each objective factors the output covariance K + sigma_n^2 I = L L^T once per
+evaluation. The evidence value needs only L. Leave-one-out takes the
+triangular inverse L^-1 once and reads from it both diag(K^-1), as the column
+sums of (L^-1)^2, and alpha = K^-1 y = L^-T (L^-1 y). The full precision
+K^-1 = L^-T L^-1 is formed only when a gradient is asked for.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +14,9 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtri
 
-from .errors import DegenerateBaseline
+from .errors import DegenerateBaseline, SingularCovariance
 from .gaussian import GaussianDist, chol_spd, condition, _LOG_2PI, _logpdf_dev
 from .kernels import (
     KernelSpec,
@@ -64,8 +71,18 @@ def _output_factor(kernel: KernelSpec, data: Dataset):
     Gram and the lower Cholesky factor of the (possibly jittered) output
     covariance."""
     gram = gram_from_sq_dists(kernel, data.sq_dists)
-    factor, _ = chol_spd(gram + kernel.noise_variance * np.eye(data.n), "output covariance")
+    cov = gram.copy()
+    cov.flat[:: data.n + 1] += kernel.noise_variance
+    factor, _ = chol_spd(cov, "output covariance")
     return gram, factor
+
+
+def _inverse_factor(factor: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower Cholesky factor L, by one LAPACK triangular inversion."""
+    inverse, info = dtrtri(factor, lower=1)
+    if info != 0:
+        raise SingularCovariance(f"output covariance factor cannot be inverted (dtrtri info {info})")
+    return inverse
 
 
 def _contract(kernel: KernelSpec, data: Dataset, gram, weights: np.ndarray) -> np.ndarray:
@@ -90,8 +107,9 @@ def log_evidence_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, Cal
     gram, factor = _output_factor(kernel, data)
 
     def grad() -> np.ndarray:
-        precision = cho_solve((factor, True), np.eye(data.n))
-        alpha = precision @ data.y
+        inverse = _inverse_factor(factor)
+        precision = inverse.T @ inverse
+        alpha = inverse.T @ (inverse @ data.y)
         return _contract(kernel, data, gram, 0.5 * (np.outer(alpha, alpha) - precision))
 
     return _logpdf_dev(factor, data.y), grad
@@ -107,23 +125,25 @@ def loo_cv_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, Callable[
     gradient in ``kernel.theta()``.
 
     Each fold's predictive is the 1-D conditional of y_k given the remaining
-    outputs under the joint N(0, K + sigma_n^2 I), read off the precision
-    matrix P = K^-1 in O(N^3) total rather than refactoring per fold. The
-    gradient, computed only when the callable is called, is GPML eq. 5.13
-    (Sundararajan & Keerthi 2001) with its per-fold sums folded into one
-    weight matrix, so every coordinate costs one elementwise contraction
-    with dK/dtheta_j.
+    outputs under the joint N(0, K + sigma_n^2 I). It needs only the diagonal
+    q = diag(P) of the precision P = K^-1 and alpha = P y (GPML eq. 5.12),
+    both read off the inverse factor L^-1 in O(N^3) total rather than
+    refactoring per fold. The gradient, computed only when the callable is
+    called, forms P = L^-T L^-1 and evaluates GPML eq. 5.13 (Sundararajan &
+    Keerthi 2001) with its per-fold sums folded into one weight matrix, so
+    every coordinate costs one elementwise contraction with dK/dtheta_j.
     """
     if data.n < 2:
         raise ValueError("leave-one-out requires at least two data points")
     gram, factor = _output_factor(kernel, data)
-    precision = cho_solve((factor, True), np.eye(data.n))
-    q = np.diag(precision)
-    alpha = precision @ data.y
+    inverse = _inverse_factor(factor)
+    q = np.sum(inverse**2, axis=0)
+    alpha = inverse.T @ (inverse @ data.y)
     # fold k: mean y_k - alpha_k / q_k, variance 1 / q_k
     log_pred = -0.5 * (np.log(2.0 * np.pi / q) + alpha**2 / q)
 
     def grad() -> np.ndarray:
+        precision = inverse.T @ inverse
         # With a = alpha / q and c = (1 + alpha^2 / q) / (2 q), eq. 5.13 summed over
         # the folds is  a^T P dK alpha - sum_k c_k (P dK P)_kk  =  sum(W * dK).
         weights = np.outer(precision @ (alpha / q), alpha) - (

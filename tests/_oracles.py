@@ -334,17 +334,11 @@ def dense_log_eta(model, data, parts, bayesian: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
-# analytic evidence gradient (explicit-inverse trace formula)
+# evidence and LOO by explicit inverse, with their analytic gradients
 
-def evidence_gradient_oracle(kern: KernelSpec, data: Dataset) -> np.ndarray:
-    """d log p(y|X) / d theta in log-parameter space, via the trace identity."""
-    x, y = data.X, data.y
-    n = data.n
-    cov = noisy_kernel_matrix(kern, x)
-    inv = np.linalg.inv(cov)
-    alpha = inv @ y
-    trace_mat = np.outer(alpha, alpha) - inv
-
+def gram_partials_oracle(kern: KernelSpec, data: Dataset) -> list[np.ndarray]:
+    """dK/dtheta in log-parameter space, noise last, from explicit distance formulas."""
+    x = data.X
     diff = x[:, :, None] - x[:, None, :]
     sq = np.maximum(np.einsum("dpq,dpq->pq", diff, diff), 0.0)
     dist = np.sqrt(sq)
@@ -375,5 +369,43 @@ def evidence_gradient_oracle(kern: KernelSpec, data: Dataset) -> np.ndarray:
         ]
     else:  # pragma: no cover
         raise ValueError(structure)
-    partials.append(2.0 * kern.noise_variance * np.eye(n))
-    return np.array([0.5 * float(np.sum(trace_mat * p)) for p in partials])
+    partials.append(2.0 * kern.noise_variance * np.eye(data.n))
+    return partials
+
+
+def evidence_gradient_oracle(kern: KernelSpec, data: Dataset, cov=None) -> np.ndarray:
+    """d log p(y|X) / d theta in log-parameter space, via the trace identity.
+
+    ``cov`` replaces the output covariance K + sigma_n^2 I, e.g. by the
+    jittered matrix a factorization actually used.
+    """
+    cov = noisy_kernel_matrix(kern, data.X) if cov is None else cov
+    inv = np.linalg.inv(cov)
+    alpha = inv @ data.y
+    trace_mat = np.outer(alpha, alpha) - inv
+    return np.array([0.5 * float(np.sum(trace_mat * p)) for p in gram_partials_oracle(kern, data)])
+
+
+def log_evidence_oracle(cov, y) -> float:
+    """log N(y | 0, cov) by explicit inverse and slogdet."""
+    _, logdet = np.linalg.slogdet(cov)
+    return float(-0.5 * (y @ np.linalg.inv(cov) @ y + logdet + y.size * LOG_2PI))
+
+
+def loo_oracle(kern: KernelSpec, data: Dataset, cov=None) -> tuple[float, np.ndarray]:
+    """Negative mean LOO log predictive density and its gradient, by explicit inverse.
+
+    The value is GPML eqs. 5.10-5.12; the gradient is eq. 5.13 summed fold by
+    fold, with Z_j = K^-1 dK/dtheta_j. ``cov`` as in ``evidence_gradient_oracle``.
+    """
+    cov = noisy_kernel_matrix(kern, data.X) if cov is None else cov
+    inv = np.linalg.inv(cov)
+    q = np.diag(inv)
+    alpha = inv @ data.y
+    value = -float(np.mean(normal_logpdf(data.y, data.y - alpha / q, 1.0 / q)))
+    grad = []
+    for partial in gram_partials_oracle(kern, data):
+        z = inv @ partial
+        per_fold = (alpha * (z @ alpha) - 0.5 * (1.0 + alpha**2 / q) * np.diag(z @ inv)) / q
+        grad.append(-float(np.sum(per_fold)) / data.n)
+    return value, np.array(grad)

@@ -269,6 +269,14 @@ class TestRank:
         assert main(args + ["--out", str(tmp_path / "r")]) == code
         assert (tmp_path / "r.json").exists() == (code == 0)
 
+    def test_test_set_larger_than_the_rows_left_exits_2(self, synth_files, tmp_path):
+        # 16 rows cannot give 12 training and 10 test points
+        train, _ = synth_files
+        args = ["rank", "--data", str(train), "--criteria", "evidence", "--n-train", "12"]
+        args += ["--students", "se", "--replicates", "1", "--restarts", "1", "--n-test", "10"]
+        assert main(args + ["--out", str(tmp_path / "r")]) == 2
+        assert not (tmp_path / "r.json").exists()
+
     def test_requires_teacher_or_data(self, tmp_path):
         code = main(["rank", "--out", str(tmp_path / "r")])
         assert code == 2

@@ -39,6 +39,39 @@ class TestCholSpd:
             chol_spd(np.array([[bad]]))
 
 
+def old_ladder(mat):
+    """chol_spd as it was: symmetrize, then add each rung's jitter times the identity."""
+    sym = 0.5 * (mat + mat.T)
+    n = sym.shape[0]
+    base = np.trace(sym) / n
+    for scale in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        shifted = sym if scale == 0.0 else sym + (scale * base) * np.eye(n)
+        try:
+            return np.linalg.cholesky(shifted), shifted, scale
+        except np.linalg.LinAlgError:
+            continue
+    raise AssertionError("ladder exhausted")
+
+
+class TestJitterLadder:
+    @pytest.mark.parametrize("scale", [0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+    def test_each_rung_is_bit_identical_to_the_symmetrizing_route(self, scale):
+        # smallest eigenvalue about -scale/2 times the mean diagonal entry: this
+        # rung factors the matrix and the rung below does not
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        eigs = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.0])
+        eigs[-1] = 0.5 if scale == 0.0 else -0.5 * scale * eigs.mean()
+        mat = (q * eigs) @ q.T
+        mat = 0.5 * (mat + mat.T)  # bit-symmetric, as every caller passes
+        ref_factor, ref_used, ref_scale = old_ladder(mat)
+        assert ref_scale == scale
+        factor, used = chol_spd(mat)
+        assert factor.tobytes() == ref_factor.tobytes()
+        assert used.tobytes() == ref_used.tobytes()
+        assert mat.tobytes() == (0.5 * (mat + mat.T)).tobytes()  # the input is left as it was
+
+
 class TestCondition:
     def test_zero_cross_block_is_identity(self):
         rng = np.random.default_rng(3)
@@ -72,8 +105,10 @@ class TestCondition:
         bottom = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(SingularCovariance) as excinfo:
             chol_spd(bottom, "bottom-block covariance")
-        assert excinfo.value.smallest_pivot is not None
-        assert excinfo.value.smallest_pivot < 0
+        pivot = excinfo.value.smallest_pivot
+        assert pivot is not None
+        assert pivot < 0
+        assert f"(smallest pivot {pivot:.3e})" in str(excinfo.value)
 
 
 def info_form(mean, cov):
@@ -316,6 +351,13 @@ class TestGaussianDistValidation:
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(SingularCovariance):
             GaussianDist.from_moments(np.zeros(2), cov)
+
+    def test_asymmetry_within_tolerance_is_symmetrized(self):
+        cov = random_spd(np.random.default_rng(2), 3)
+        cov[0, 1] += 1e-12
+        d = GaussianDist.from_moments(np.zeros(3), cov)
+        np.testing.assert_array_equal(d.cov, 0.5 * (cov + cov.T))
+        np.testing.assert_array_equal(d.chol, np.linalg.cholesky(0.5 * (cov + cov.T)))
 
     def test_chol_reconstructs_cov(self):
         rng = np.random.default_rng(1)

@@ -197,6 +197,11 @@ class TestExperimentConfig:
                 {"n_train": 1, "criteria": ("evidence",), "fit_criterion": "loo"},
                 "n_train=1 too small for leave-one-out",
             ),
+            (
+                {"teacher": None, "data": Dataset(np.arange(16.0)[None], np.sin(np.arange(16.0))),
+                 "n_train": 12, "n_test": 10},
+                "16 rows, need n_train \\+ n_test = 22",
+            ),
         ],
     )
     def test_invalid_values_rejected(self, override, message):

@@ -7,6 +7,7 @@ from _oracles import evidence_gradient_oracle, random_gp_instance
 from gpselect import (
     AscConfig,
     Criterion,
+    Dataset,
     KernelSpec,
     OptimizationFailed,
     SingularCovariance,
@@ -16,10 +17,12 @@ from gpselect import (
     optimize,
     sample_partitions,
 )
-from gpselect.harness import sample_synthetic
+from gpselect.harness import kernel_template, sample_synthetic
 from gpselect.optimize import lbfgs_minimize
 
 optimize_module = importlib.import_module("gpselect.optimize")
+regression_module = importlib.import_module("gpselect.regression")
+gaussian_module = importlib.import_module("gpselect.gaussian")
 EXACT_SEAMS = {Criterion.EVIDENCE: "log_evidence_and_grad", Criterion.LOO: "loo_cv_and_grad"}
 
 
@@ -194,6 +197,34 @@ class TestOptimize:
         monkeypatch.setattr(optimize_module, "log_evidence_and_grad", always_singular)
         with pytest.raises(OptimizationFailed):
             optimize(Criterion.EVIDENCE, se_template(), data, 2, seed=8)
+
+    def test_exhausted_ladders_do_not_compute_the_pivot(self, monkeypatch):
+        # a periodic kernel is not PSD on 2-D inputs, so the line search of this
+        # fit steps into Grams that no jitter rung factors; optimize swallows
+        # each failure, so the pivot its message would show is never read
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-2.0, 2.0, (2, 24))
+        data = Dataset(x, np.sin(2.0 * x[0]) + x[1] + 0.05 * rng.standard_normal(24))
+        real_chol = regression_module.chol_spd
+        counts = {"exhausted": 0, "pivots": 0}
+
+        def counted_chol(*args, **kwargs):
+            try:
+                return real_chol(*args, **kwargs)
+            except SingularCovariance:
+                counts["exhausted"] += 1
+                raise
+
+        def counted_pivot(mat):
+            counts["pivots"] += 1
+            return None
+
+        monkeypatch.setattr(regression_module, "chol_spd", counted_chol)
+        monkeypatch.setattr(gaussian_module, "_smallest_pivot", counted_pivot)
+        result = optimize(Criterion.EVIDENCE, kernel_template("per"), data, 2, seed=8)
+        assert np.isfinite(result.objective_value)
+        assert counts["exhausted"] > 0
+        assert counts["pivots"] == 0
 
     @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO])
     def test_exact_fits_evaluate_each_point_once(self, monkeypatch, criterion):

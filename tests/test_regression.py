@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import evidence_gradient_oracle, mvn_logpdf, random_gp_instance
+from _oracles import (
+    evidence_gradient_oracle,
+    log_evidence_oracle,
+    loo_oracle,
+    mvn_logpdf,
+    random_gp_instance,
+)
 from gpselect import (
     Dataset,
     DegenerateBaseline,
@@ -19,6 +25,7 @@ from gpselect import (
     noisy_kernel_matrix,
     predict,
 )
+from gpselect.gaussian import chol_spd
 from gpselect.regression import log_evidence_and_grad, loo_cv_and_grad
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -55,10 +62,7 @@ class TestLogEvidence:
         rng = np.random.default_rng(2)
         for _ in range(5):
             model, data = random_gp_instance(rng, n_lo=8, n_hi=8)
-            cov = noisy_kernel_matrix(model, data.X)
-            inv = np.linalg.inv(cov)
-            _, logdet = np.linalg.slogdet(cov)
-            expected = -0.5 * (data.y @ inv @ data.y + logdet + data.n * LOG_2PI)
+            expected = log_evidence_oracle(noisy_kernel_matrix(model, data.X), data.y)
             assert log_evidence(model, data) == pytest.approx(expected, rel=1e-8)
 
     def test_permutation_invariant(self):
@@ -179,6 +183,42 @@ class TestExactGradients:
         )
         err = np.min(np.abs(numeric - grad), axis=0)
         np.testing.assert_array_less(err, 1e-3 * np.maximum(1.0, np.abs(grad)))
+
+
+class TestJitteredFactor:
+    """Both objectives at an output covariance that only a jitter rung factors."""
+
+    @staticmethod
+    def _instance(margin):
+        # a periodic Gram is indefinite on 2-D inputs; the noise is chosen so that
+        # K + sigma_n^2 I has smallest eigenvalue -margin * (mean diagonal entry)
+        x = np.random.default_rng(0).uniform(-2.0, 2.0, (2, 10))
+        model = KernelSpec.create("per", lengthscale=1.0, period=2.0, signal=1.0, noise=1.0)
+        smallest = np.linalg.eigvalsh(kernel_matrix(model, x, x))[0]
+        noise = math.sqrt((-smallest - margin) / (1.0 + margin))
+        model = KernelSpec.create("per", lengthscale=1.0, period=2.0, signal=1.0, noise=noise)
+        return model, Dataset(x, np.sin(2.0 * x[0]) + x[1])
+
+    @pytest.mark.parametrize("margin,scale", [(3e-8, 1e-7), (3e-7, 1e-6)])
+    @pytest.mark.parametrize("objective", ["evidence", "loo"])
+    def test_value_and_gradient_match_explicit_inverses(self, margin, scale, objective):
+        model, data = self._instance(margin)
+        cov = noisy_kernel_matrix(model, data.X)
+        _, used = chol_spd(cov)
+        # the factored matrix is the covariance plus the jitter of the expected rung
+        base = np.trace(cov) / data.n
+        np.testing.assert_allclose(np.diag(used) - np.diag(cov), scale * base, rtol=1e-6)
+        if objective == "evidence":
+            value, grad_fn = log_evidence_and_grad(model, data)
+            ref_value, ref_grad = log_evidence_oracle(used, data.y), evidence_gradient_oracle(model, data, used)
+        else:
+            value, grad_fn = loo_cv_and_grad(model, data)
+            ref_value, ref_grad = loo_oracle(model, data, used)
+        # both routes invert the jittered matrix, so each is good to about n cond eps
+        rtol = max(1e-8, data.n * np.linalg.cond(used) * np.finfo(float).eps)
+        assert value == pytest.approx(ref_value, rel=rtol)
+        grad = grad_fn()
+        assert np.max(np.abs(grad - ref_grad)) <= rtol * max(1.0, float(np.max(np.abs(ref_grad))))
 
 
 class TestPredict:
