@@ -33,7 +33,7 @@ from .harness import (
     sample_synthetic,
 )
 from .kernels import KernelSpec, KernelStructure, kernel_matrix, noisy_kernel_matrix
-from .optimize import OptResult, evaluate_criterion, finite_diff_gradient, optimize
+from .optimize import FitConfig, OptResult, evaluate_criterion, finite_diff_gradient, optimize
 from .regression import Dataset, log_evidence, loo_cv_objective, msll, predict
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "DegenerateBaseline",
     "EmptyData",
     "ExperimentConfig",
+    "FitConfig",
     "GaussianDist",
     "GpSelectError",
     "InsufficientData",

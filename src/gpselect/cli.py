@@ -10,16 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .criteria import AscConfig, Criterion, sample_partitions
+from .criteria import AscConfig, Criterion
 from .errors import EmptyData, GpSelectError, InsufficientData, OptimizationFailed, SchemaError
 from .harness import (
     ExperimentConfig,
-    derived_seed,
     kernel_template,
     load_csv_dataset,
     package_versions,
@@ -29,25 +29,43 @@ from .harness import (
     write_report,
 )
 from .kernels import KernelSpec, KernelStructure
-from .optimize import optimize
+from .optimize import FitConfig, optimize
 from .regression import Dataset, msll, predict
 
 _KERNEL_CHOICES = [k.value for k in KernelStructure]
 _CRITERION_CHOICES = [c.value for c in Criterion]
-_FIT_CRITERION_CHOICES = [c.value for c in Criterion if not c.is_asc]
 
 
 class UsageError(Exception):
     pass
 
 
-def _teacher_from_flags(kernel, ell, sf, sn, alpha, period) -> KernelSpec:
+def _teacher_from_flags(args, kernel) -> KernelSpec:
+    """The teacher kernel, once the teacher flags (input range included) are checked."""
+    lo, hi = args.input_lo, args.input_hi
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise UsageError(f"--input-lo {lo} and --input-hi {hi} must be finite, with lo below hi")
     try:
-        return KernelSpec.create(
-            kernel, lengthscale=ell, signal=sf, noise=sn, alpha=alpha, period=period
-        )
+        return KernelSpec.create(kernel, lengthscale=args.ell, signal=args.sf, noise=args.sn, alpha=args.alpha,
+                                 period=args.period)
     except ValueError as err:
         raise UsageError(str(err)) from err
+
+
+def _fit_config(args, criterion) -> FitConfig:
+    """The fit flags as one FitConfig; --J and --M count only for an agreement criterion."""
+    try:
+        asc = AscConfig(M=args.M, J=args.J) if Criterion(criterion).is_asc else None
+        return FitConfig(criterion, args.restarts, asc)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
+
+
+def _check_out(path) -> None:
+    """Fail before any work is done if an output could not be written to ``path``."""
+    parent = None if path is None else Path(path).parent
+    if parent is not None and not (parent.is_dir() and os.access(parent, os.W_OK)):
+        raise UsageError(f"cannot write {path}: {parent} is not a writable directory")
 
 
 def _resolve_seed(seed) -> int:
@@ -96,7 +114,8 @@ def _write_dataset_csv(data: Dataset, path) -> None:
 
 def cmd_synth(args) -> int:
     seed = _resolve_seed(args.seed)
-    teacher = _teacher_from_flags(args.kernel, args.ell, args.sf, args.sn, args.alpha, args.period)
+    teacher = _teacher_from_flags(args, args.kernel)
+    _check_out(args.out)
     if args.n_train < 1 or args.n_test < 0:
         raise UsageError("--n-train must be >= 1 and --n-test >= 0")
     train, test = sample_synthetic(
@@ -115,24 +134,13 @@ def cmd_synth(args) -> int:
 
 def cmd_fit(args) -> int:
     seed = _resolve_seed(args.seed)
-    input_cols = _split_csv_list(args.input_cols)
-    train = _load(args.train, input_cols, args.output_col)
-    criterion = Criterion(args.criterion)
-    if args.restarts < 1:
-        raise UsageError("--restarts must be at least 1")
-    if criterion is Criterion.LOO and train.n < 2:
-        raise UsageError(f"leave-one-out needs at least 2 rows, {args.train} has {train.n}")
-    asc = parts = None
-    if criterion.is_asc:
-        try:
-            asc = AscConfig(M=args.M, J=args.J)
-        except ValueError as err:
-            raise UsageError(str(err)) from err
-        parts = sample_partitions(train.n, asc, derived_seed(seed, 1))
+    _check_out(args.out)
+    fit = _fit_config(args, args.criterion)
+    train = _load(args.train, _split_csv_list(args.input_cols), args.output_col)
     template = kernel_template(args.kernel)
     report = {
         "command": "fit",
-        "criterion": criterion.value,
+        "criterion": fit.criterion.value,
         "kernel": args.kernel,
         "train": str(args.train),
         "n_train": train.n,
@@ -143,13 +151,13 @@ def cmd_fit(args) -> int:
             "shift": train.meta.get("input_shift"),
             "scale": train.meta.get("input_scale"),
         },
-        "restarts": args.restarts,
+        "restarts": fit.restarts,
         "seed": seed,
-        "asc": {"J": args.J, "M": args.M} if asc is not None else None,
+        "asc": None if fit.asc is None else {"J": fit.asc.J, "M": fit.asc.M},
         "versions": package_versions(),
     }
     try:
-        result = optimize(criterion, template, train, args.restarts, seed, parts)
+        result = optimize(fit, template, train, seed)
     except OptimizationFailed as err:
         report["error"] = str(err)
         if args.out:
@@ -173,36 +181,20 @@ def cmd_fit(args) -> int:
     )
     if args.out:
         write_report(report, args.out)
-    print(json.dumps({"criterion": criterion.value, "objective_value": result.objective_value}))
+    print(json.dumps({"criterion": fit.criterion.value, "objective_value": result.objective_value}))
     return 0
 
 
 def cmd_rank(args) -> int:
     seed = _resolve_seed(args.seed)
-    students = _split_csv_list(args.students)
-    criteria = _split_csv_list(args.criteria)
-    for name in criteria:
-        if name not in _CRITERION_CHOICES:
-            raise UsageError(f"unknown criterion {name!r}; valid: {_CRITERION_CHOICES}")
-    for name in students:
-        if name not in _KERNEL_CHOICES:
-            raise UsageError(f"unknown kernel {name!r}; valid: {_KERNEL_CHOICES}")
-    teacher = None
-    data = None
-    if args.data is not None and args.teacher_kernel is not None:
-        raise UsageError("give either --teacher-kernel (synthetic) or --data (real), not both")
-    if args.data is not None:
-        data = _load(args.data, _split_csv_list(args.input_cols), args.output_col)
-    elif args.teacher_kernel is not None:
-        teacher = _teacher_from_flags(
-            args.teacher_kernel, args.ell, args.sf, args.sn, args.alpha, args.period
-        )
-    else:
-        raise UsageError("one of --teacher-kernel or --data is required")
+    _check_out(args.out)
+    # ExperimentConfig requires exactly one of the two
+    data = None if args.data is None else _load(args.data, _split_csv_list(args.input_cols), args.output_col)
+    teacher = None if args.teacher_kernel is None else _teacher_from_flags(args, args.teacher_kernel)
     try:
         cfg = ExperimentConfig(
-            students=tuple(students),
-            criteria=tuple(criteria),
+            students=tuple(_split_csv_list(args.students)),
+            criteria=tuple(_split_csv_list(args.criteria)),
             replicates=args.replicates,
             n_train=args.n_train,
             n_test=args.n_test,
@@ -210,8 +202,7 @@ def cmd_rank(args) -> int:
             seed=seed,
             teacher=teacher,
             data=data,
-            fit_criterion=args.fit_criterion,
-            restarts=args.restarts,
+            fit=_fit_config(args, args.fit_criterion),
             input_range=(args.input_lo, args.input_hi),
         )
     except ValueError as err:
@@ -230,6 +221,7 @@ def cmd_rank(args) -> int:
 def cmd_eval(args) -> int:
     if (args.model is None) == (not args.trivial):
         raise UsageError("give exactly one of --model or --trivial")
+    _check_out(args.out)
     input_cols = _split_csv_list(args.input_cols)
     if args.trivial:
         train = _load(args.train, input_cols, args.output_col)
@@ -323,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-col", default="y")
     p.add_argument("--students", default="se,rq,exp,per")
     p.add_argument("--criteria", default="evidence,loo,basc,bnasc")
-    p.add_argument("--fit-criterion", choices=_FIT_CRITERION_CHOICES, default="evidence")
+    p.add_argument("--fit-criterion", choices=_CRITERION_CHOICES, default="evidence")
     p.add_argument("--replicates", type=int, default=16)
     p.add_argument("--n-train", type=int, default=64)
     p.add_argument("--n-test", type=int, default=256)

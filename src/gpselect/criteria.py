@@ -115,6 +115,12 @@ class AscScore:
         return self.n_failed / self.n_partitions
 
 
+def derived_seed(master: int, *key: int) -> int:
+    """Deterministic child seed for a (master seed, index path) pair."""
+    ss = np.random.SeedSequence(entropy=int(master), spawn_key=tuple(int(k) for k in key))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
 def sample_partitions(n: int, cfg: AscConfig, seed: int) -> Partitions:
     """Draw J independent partitions; deterministic for a given seed."""
     if n < 2 * cfg.M:

@@ -30,8 +30,8 @@ class SingularCovariance(GpSelectError):
         return super().__str__() + ("" if pivot is None else f" (smallest pivot {pivot:.3e})")
 
 
-class InsufficientData(GpSelectError):
-    """Too few data points for the requested partition layout."""
+class InsufficientData(GpSelectError, ValueError):
+    """Too few data points for the requested criterion or partition layout."""
 
 
 class AllPartitionsFailed(GpSelectError):

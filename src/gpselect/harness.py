@@ -22,23 +22,17 @@ from importlib import metadata
 import numpy as np
 from scipy.stats import rankdata
 
-from .criteria import AscConfig, Criterion, sample_partitions
+from .criteria import AscConfig, Criterion, derived_seed, sample_partitions
 from .errors import EmptyData, GpSelectError, OptimizationFailed, SchemaError
 from .gaussian import chol_spd
 from .kernels import PARAM_NAMES, KernelSpec, KernelStructure, kernel_matrix
-from .optimize import evaluate_criterion, optimize
+from .optimize import FitConfig, evaluate_criterion, optimize
 from .regression import Dataset, msll, predict
 
 MSLL_COLUMN = "msll"
 
 # Ranking columns where a larger score is better.
 _HIGHER_BETTER = {c.value: c.direction > 0 for c in Criterion} | {MSLL_COLUMN: False}
-
-
-def derived_seed(master: int, *key: int) -> int:
-    """Deterministic child seed for a (master seed, index path) pair."""
-    ss = np.random.SeedSequence(entropy=int(master), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def kernel_template(structure: KernelStructure | str) -> KernelSpec:
@@ -58,14 +52,12 @@ class ExperimentConfig:
     seed: int = 0
     teacher: KernelSpec | None = None
     data: Dataset | None = None
-    fit_criterion: Criterion = Criterion.EVIDENCE
-    restarts: int = 2
+    fit: FitConfig = field(default_factory=FitConfig)
     input_range: tuple[float, float] = (0.0, 10.0)
 
     def __post_init__(self):
         object.__setattr__(self, "students", tuple(KernelStructure(s) for s in self.students))
         object.__setattr__(self, "criteria", tuple(Criterion(c) for c in self.criteria))
-        object.__setattr__(self, "fit_criterion", Criterion(self.fit_criterion))
         if not self.students:
             raise ValueError("need at least one student kernel")
         for name, entries in (("students", self.students), ("criteria", self.criteria)):
@@ -75,15 +67,13 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if self.n_test < 1:
             raise ValueError(f"n_test={self.n_test}, need at least one test point")
-        if self.restarts < 1:
-            raise ValueError("need at least one optimizer restart")
         if self.n_train < 1:
             raise ValueError(f"n_train={self.n_train}, need at least one training point")
-        if self.n_train < 2 and Criterion.LOO in (*self.criteria, self.fit_criterion):
+        if self.n_train < 2 and Criterion.LOO in (*self.criteria, self.fit.criterion):
             raise ValueError(f"n_train={self.n_train} too small for leave-one-out")
         if any(c.is_asc for c in self.criteria) and self.n_train < 2 * self.asc.M:
             raise ValueError(f"n_train={self.n_train} too small for M={self.asc.M}")
-        if self.fit_criterion.is_asc:
+        if self.fit.criterion.is_asc:
             raise ValueError("hyperparameters are fitted by evidence or leave-one-out only")
         if (self.teacher is None) == (self.data is None):
             raise ValueError("exactly one of teacher (synthetic) or data (real) must be set")
@@ -148,7 +138,7 @@ def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=Non
         name = structure.value
         template = kernel_template(structure)
         try:
-            fit = optimize(cfg.fit_criterion, template, train, cfg.restarts, derived_seed(base, 2, si))
+            fit = optimize(cfg.fit, template, train, derived_seed(base, 2, si))
         except OptimizationFailed:
             for col in cfg.columns:
                 scores[col][name] = float("nan")
@@ -241,13 +231,13 @@ def run_ranking(cfg: ExperimentConfig) -> dict:
             "command": "rank",
             "students": students,
             "criteria": [c.value for c in cfg.criteria],
-            "fit_criterion": cfg.fit_criterion.value,
+            "fit_criterion": cfg.fit.criterion.value,
             "replicates": cfg.replicates,
             "n_train": cfg.n_train,
             "n_test": cfg.n_test,
             "asc": {"J": cfg.asc.J, "M": cfg.asc.M},
             "seed": cfg.seed,
-            "restarts": cfg.restarts,
+            "restarts": cfg.fit.restarts,
             "teacher": None
             if teacher is None
             else {"kernel": teacher.structure.value, "params": teacher.named_params()},

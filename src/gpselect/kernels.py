@@ -73,7 +73,7 @@ class KernelSpec:
             if not value > 0:
                 raise ValueError(f"parameter '{name}' must be positive, got {value}")
             logs.append(np.log(value))
-        if noise < 0:
+        if not noise >= 0:
             raise ValueError(f"noise must be non-negative, got {noise}")
         log_noise = np.log(noise) if noise > 0 else -np.inf
         return cls(structure, np.array(logs), log_noise)

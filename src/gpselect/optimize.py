@@ -5,9 +5,9 @@ value and a thunk that gives the gradient at the same point, and
 ``lbfgs_minimize`` calls the thunk only where the line search needs a slope.
 The evidence and leave-one-out thunks reuse the factorization of the value
 (exact gradients); the agreement criteria's thunk takes central finite
-differences over the partitions the caller samples. Failed evaluations
-(singular covariances, all partitions failed) act as an infinite penalty that
-the line search backs away from.
+differences over partitions that ``optimize`` samples once per fit. Failed
+evaluations (singular covariances, all partitions failed) act as an infinite
+penalty that the line search backs away from.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import AscScore, Criterion, average_log_eta
+from .criteria import AscConfig, AscScore, Criterion, average_log_eta, derived_seed, sample_partitions
 from .errors import AllPartitionsFailed, OptimizationFailed, SingularCovariance
 from .kernels import KernelSpec
 from .regression import (
@@ -44,6 +44,24 @@ _STALL_WINDOW = 3
 # largest step, and the iteration caps of the bracketing and zoom phases.
 _C1, _C2, _ALPHA_MAX = 1e-4, 0.9, 1e3
 _SEARCH_ITERS, _ZOOM_ITERS = 25, 30
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """How a kernel is fitted: criterion, L-BFGS restarts and, for an agreement
+    criterion only, its partition layout. Constructing one is the only check of
+    these settings; the rows they need are checked where the rows are used."""
+
+    criterion: Criterion = Criterion.EVIDENCE
+    restarts: int = 2
+    asc: AscConfig | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "criterion", Criterion(self.criterion))
+        if self.restarts < 1:
+            raise ValueError("need at least one optimizer restart")
+        if self.criterion.is_asc != (self.asc is not None):
+            raise ValueError(f"{self.criterion.value} fit with asc={self.asc}: agreement fits need one, others none")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,25 +235,17 @@ def lbfgs_minimize(f, x0, *, maxiter: int = 200) -> MinimizeResult:
     return MinimizeResult(x=x, fun=fx, converged=converged, n_iter=iterations)
 
 
-def optimize(
-    criterion: Criterion,
-    template: KernelSpec,
-    data: Dataset,
-    restarts: int,
-    seed,
-    parts=None,
-) -> OptResult:
+def optimize(fit: FitConfig, template: KernelSpec, data: Dataset, seed: int) -> OptResult:
     """Multi-restart L-BFGS over log-space hyperparameters.
 
-    Initial points are uniform on [-2, 2] per coordinate. Agreement criteria
-    need ``parts``, held fixed so that the objective is deterministic. Raises
+    Initial points are uniform on [-2, 2] per coordinate, drawn from ``seed``.
+    An agreement fit samples its partitions once, from ``derived_seed(seed,
+    1)``, and holds them fixed so that the objective is deterministic. Raises
+    InsufficientData if the data have too few rows for the criterion, and
     OptimizationFailed if no restart reaches a finite objective.
     """
-    criterion = Criterion(criterion)
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    if criterion.is_asc and parts is None:
-        raise ValueError("agreement criteria need partitions")
+    criterion = fit.criterion
+    parts = sample_partitions(data.n, fit.asc, derived_seed(seed, 1)) if criterion.is_asc else None
     sign = -criterion.direction  # minimize sign * value
     dim = template.log_params.size + 1
 
@@ -259,16 +269,16 @@ def optimize(
         return sign * value, lambda: finite_diff_gradient(lambda t: f_min(t)[0], theta)
 
     rng = np.random.default_rng(seed)
-    inits = rng.uniform(-2.0, 2.0, size=(restarts, dim))
+    inits = rng.uniform(-2.0, 2.0, size=(fit.restarts, dim))
     best: MinimizeResult | None = None
-    for i in range(restarts):
+    for i in range(fit.restarts):
         result = lbfgs_minimize(f_min, inits[i])
         if not np.isfinite(result.fun):
             continue
         if best is None or result.fun < best.fun - 1e-12:
             best = result
     if best is None:
-        raise OptimizationFailed(f"no finite objective over {restarts} restarts")
+        raise OptimizationFailed(f"no finite objective over {fit.restarts} restarts")
     value, asc = evaluate_criterion(criterion, template.with_theta(best.x), data, parts)
     return OptResult(
         theta=best.x,

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .errors import DegenerateBaseline, SingularCovariance
+from .errors import DegenerateBaseline, InsufficientData, SingularCovariance
 from .gaussian import GaussianDist, chol_spd, condition, _LOG_2PI, _logpdf_dev
 from .kernels import (
     KernelSpec,
@@ -134,7 +134,7 @@ def loo_cv_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, Callable[
     every coordinate costs one elementwise contraction with dK/dtheta_j.
     """
     if data.n < 2:
-        raise ValueError("leave-one-out requires at least two data points")
+        raise InsufficientData("leave-one-out requires at least two data points")
     gram, factor = _output_factor(kernel, data)
     inverse = _inverse_factor(factor)
     q = np.sum(inverse**2, axis=0)

@@ -54,6 +54,16 @@ class TestSynth:
         assert code == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--sn", "nan"], ["--input-lo", "5", "--input-hi", "1"], ["--input-lo", "nan"], ["--input-hi", "inf"]],
+    )
+    def test_invalid_teacher_flags_exit_2_without_files(self, tmp_path, capsys, extra):
+        code, _, _ = run_synth(tmp_path, extra=extra)
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_deterministic_bytes(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -165,6 +175,11 @@ class TestFit:
         train, _ = synth_files
         base = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence"]
         assert main(base + extra) == 2
+
+    def test_agreement_flags_ignored_by_other_criteria(self, synth_files):
+        train, _ = synth_files
+        args = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence", "--J", "0"]
+        assert main(args + ["--restarts", "1", "--seed", "0"]) == 0
 
     def test_too_few_rows_for_anchor_count_exits_2(self, tmp_path, capsys):
         code, train, _ = run_synth(tmp_path, n_train=3)
@@ -293,12 +308,39 @@ class TestRank:
             ["--n-train", "0", "--criteria", "evidence"],
             ["--n-train", "1"],
             ["--n-train", "1", "--criteria", "evidence", "--fit-criterion", "loo"],
+            ["--fit-criterion", "bnasc"],
+            ["--criteria", "mystery"],
+            ["--students", "mystery"],
+            ["--J", "0"],
+            ["--sn", "nan"],
+            ["--input-lo", "5", "--input-hi", "1"],
+            ["--input-lo", "nan"],
         ],
     )
     def test_invalid_argument_value_exits_2(self, tmp_path, extra):
         # a repeated flag overrides the value rank_args set
         assert main(self.rank_args(tmp_path) + extra) == 2
         assert not (tmp_path / "rank_out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "rank", "eval"])
+def test_unwritable_out_exits_2_before_any_work(synth_files, tmp_path, monkeypatch, capsys, command):
+    cli = sys.modules["gpselect.cli"]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("sample_synthetic", "optimize", "run_ranking"):
+        monkeypatch.setattr(cli, name, refused)
+    train, test = synth_files
+    argv = {
+        "synth": ["synth", "--kernel", "se"],
+        "fit": ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence"],
+        "rank": ["rank", "--teacher-kernel", "se", "--students", "se", "--criteria", "evidence"],
+        "eval": ["eval", "--trivial", "--train", str(train), "--test", str(test)],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "missing" / "out.json")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 class TestEval:

@@ -35,7 +35,6 @@ from gpselect import (
     sample_synthetic,
 )
 from gpselect import criteria
-from gpselect.harness import derived_seed
 
 
 ASC_CRITERIA = [c for c in Criterion if c.is_asc]
@@ -435,7 +434,7 @@ class TestAverageLogEta:
         train, _ = sample_synthetic(teacher, 64, 256, seed=12)
         x = train.X  # standardized as load_csv_dataset does
         data = Dataset((x - x.mean(axis=1)[:, None]) / x.std(axis=1)[:, None], train.y)
-        parts = sample_partitions(64, AscConfig(M=2, J=32), derived_seed(0, 1))
+        parts = sample_partitions(64, AscConfig(M=2, J=32), criteria.derived_seed(0, 1))
         theta = np.array([-5.226861461507027, 3.3879044801709925, -1.5127458863693015])
         score = average_log_eta(teacher.with_theta(theta), data, parts, Criterion.BETA_NOISE_ASC)
         assert score.n_failed == 3

@@ -9,6 +9,7 @@ from gpselect import (
     Dataset,
     EmptyData,
     ExperimentConfig,
+    FitConfig,
     KernelSpec,
     OptimizationFailed,
     SchemaError,
@@ -18,7 +19,8 @@ from gpselect import (
     run_ranking,
     sample_synthetic,
 )
-from gpselect.harness import _midranks, derived_seed, sample_function_values
+from gpselect.criteria import derived_seed
+from gpselect.harness import _midranks, sample_function_values
 
 harness_module = importlib.import_module("gpselect.harness")
 
@@ -27,8 +29,9 @@ def teacher(ell=1.0, sf=1.0, sn=0.1):
     return KernelSpec.create("se", lengthscale=ell, signal=sf, noise=sn)
 
 
-def tiny_config(**overrides):
+def tiny_config(fit_criterion="evidence", restarts=1, **overrides):
     base = dict(
+        fit=FitConfig(fit_criterion, restarts),
         students=("se", "exp"),
         criteria=(Criterion.EVIDENCE, Criterion.LOO),
         replicates=2,
@@ -37,7 +40,6 @@ def tiny_config(**overrides):
         asc=AscConfig(M=1, J=4),
         seed=7,
         teacher=teacher(),
-        restarts=1,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -124,10 +126,10 @@ class TestRankStudents:
     def test_failed_fit_gets_worst_rank(self, monkeypatch):
         real_optimize = harness_module.optimize
 
-        def flaky(criterion, template, data, restarts, seed):
+        def flaky(fit, template, data, seed):
             if template.structure.value == "exp":
                 raise OptimizationFailed("forced")
-            return real_optimize(criterion, template, data, restarts, seed)
+            return real_optimize(fit, template, data, seed)
 
         monkeypatch.setattr(harness_module, "optimize", flaky)
         cfg = tiny_config()
@@ -202,6 +204,7 @@ class TestExperimentConfig:
                  "n_train": 12, "n_test": 10},
                 "16 rows, need n_train \\+ n_test = 22",
             ),
+            ({"fit": FitConfig("bnasc", 1, AscConfig(M=1, J=4))}, "evidence or leave-one-out only"),
         ],
     )
     def test_invalid_values_rejected(self, override, message):

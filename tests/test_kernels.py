@@ -215,6 +215,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             KernelSpec.create("se", lengthscale=-1.0, signal=1.0, noise=0.1)
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan")])
+    def test_invalid_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=noise)
+
     def test_zero_noise_allowed(self):
         spec = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.0)
         assert spec.noise_variance == 0.0

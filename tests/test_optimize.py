@@ -8,6 +8,8 @@ from gpselect import (
     AscConfig,
     Criterion,
     Dataset,
+    FitConfig,
+    InsufficientData,
     KernelSpec,
     OptimizationFailed,
     SingularCovariance,
@@ -17,6 +19,7 @@ from gpselect import (
     optimize,
     sample_partitions,
 )
+from gpselect.criteria import derived_seed
 from gpselect.harness import kernel_template, sample_synthetic
 from gpselect.optimize import lbfgs_minimize
 
@@ -120,12 +123,36 @@ class TestLbfgs:
         assert not np.isfinite(result.fun)
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize(
+        "criterion,restarts,asc,message",
+        [
+            (Criterion.EVIDENCE, 0, None, "restart"),
+            (Criterion.BETA_NOISE_ASC, 0, AscConfig(), "restart"),
+            (Criterion.BAYESIAN_ASC, 1, None, "basc fit with asc=None"),
+            (Criterion.BETA_NOISE_ASC, 1, None, "bnasc fit with asc=None"),
+            (Criterion.EVIDENCE, 1, AscConfig(), "evidence fit with asc=AscConfig"),
+            (Criterion.LOO, 1, AscConfig(), "loo fit with asc=AscConfig"),
+            ("mystery", 1, None, "mystery"),
+        ],
+        ids=["no-restarts", "asc-no-restarts", "basc-no-asc", "bnasc-no-asc", "evidence-asc", "loo-asc", "unknown"],
+    )
+    def test_invalid_settings_rejected(self, criterion, restarts, asc, message):
+        with pytest.raises(ValueError, match=message):
+            FitConfig(criterion, restarts, asc)
+
+    def test_names_become_criteria(self):
+        fit = FitConfig("bnasc", 3, AscConfig(M=1, J=4))
+        assert fit.criterion is Criterion.BETA_NOISE_ASC
+        assert FitConfig() == FitConfig(Criterion.EVIDENCE, 2, None)
+
+
 class TestOptimize:
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        first = optimize(Criterion.EVIDENCE, se_template(), data, restarts=2, seed=11)
-        second = optimize(Criterion.EVIDENCE, se_template(), data, restarts=2, seed=11)
+        first = optimize(FitConfig(Criterion.EVIDENCE, 2), se_template(), data, seed=11)
+        second = optimize(FitConfig(Criterion.EVIDENCE, 2), se_template(), data, seed=11)
         np.testing.assert_array_equal(first.theta, second.theta)
         assert first.objective_value == second.objective_value
         assert first.converged == second.converged
@@ -133,7 +160,7 @@ class TestOptimize:
     def test_returned_value_is_fresh(self):
         rng = np.random.default_rng(2)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        result = optimize(Criterion.EVIDENCE, se_template(), data, 2, seed=3)
+        result = optimize(FitConfig(Criterion.EVIDENCE, 2), se_template(), data, seed=3)
         fitted = se_template().with_theta(result.theta)
         value, _ = evaluate_criterion(Criterion.EVIDENCE, fitted, data)
         assert result.objective_value == pytest.approx(value, abs=1e-9)
@@ -142,7 +169,7 @@ class TestOptimize:
         rng = np.random.default_rng(3)
         teacher = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.3)
         train, _ = sample_synthetic(teacher, 32, 1, seed=5)
-        result = optimize(Criterion.EVIDENCE, se_template(), train, 2, seed=5)
+        result = optimize(FitConfig(Criterion.EVIDENCE, 2), se_template(), train, seed=5)
         if result.converged:
             kern = se_template()
 
@@ -156,32 +183,43 @@ class TestOptimize:
         rng = np.random.default_rng(4)
         model, data = random_gp_instance(rng, n_lo=14, n_hi=14, structure="per")
         template = KernelSpec.create("per", lengthscale=1.0, period=1.0, signal=1.0, noise=1.0)
-        one = optimize(Criterion.EVIDENCE, template, data, restarts=1, seed=9)
-        eight = optimize(Criterion.EVIDENCE, template, data, restarts=8, seed=9)
+        one = optimize(FitConfig(Criterion.EVIDENCE, 1), template, data, seed=9)
+        eight = optimize(FitConfig(Criterion.EVIDENCE, 8), template, data, seed=9)
         assert eight.objective_value >= one.objective_value - 1e-12
 
     def test_loo_direction_minimizes(self):
         rng = np.random.default_rng(5)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        result = optimize(Criterion.LOO, se_template(), data, 2, seed=6)
+        result = optimize(FitConfig(Criterion.LOO, 2), se_template(), data, seed=6)
         fitted = se_template().with_theta(result.theta)
         at_fit, _ = evaluate_criterion(Criterion.LOO, fitted, data)
         perturbed = se_template().with_theta(result.theta + 0.5)
         worse, _ = evaluate_criterion(Criterion.LOO, perturbed, data)
         assert at_fit <= worse + 1e-9
 
-    def test_asc_requires_partitions(self):
-        rng = np.random.default_rng(6)
-        model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        for criterion in (Criterion.BAYESIAN_ASC, Criterion.BETA_NOISE_ASC):
-            with pytest.raises(ValueError, match="partitions"):
-                optimize(criterion, se_template(), data, restarts=1, seed=7)
+    @pytest.mark.parametrize(
+        "criterion,n,asc",
+        [(Criterion.LOO, 1, None), (Criterion.BETA_NOISE_ASC, 3, AscConfig(M=2, J=4))],
+        ids=["loo-1-row", "bnasc-3-rows-M2"],
+    )
+    def test_too_few_rows_raise_insufficient_data(self, criterion, n, asc):
+        data = Dataset(np.linspace(0.0, 1.0, n)[None], np.zeros(n))
+        with pytest.raises(InsufficientData, match="at least"):
+            optimize(FitConfig(criterion, 1, asc), se_template(), data, seed=7)
 
-    def test_asc_fit_reports_partition_fraction(self):
+    def test_asc_fit_reports_partition_fraction(self, monkeypatch):
+        seeds = []
+
+        def recording(n, cfg, seed):
+            seeds.append(seed)
+            return sample_partitions(n, cfg, seed)
+
+        monkeypatch.setattr(optimize_module, "sample_partitions", recording)
         rng = np.random.default_rng(6)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        parts = sample_partitions(data.n, AscConfig(M=1, J=4), 2)
-        result = optimize(Criterion.BAYESIAN_ASC, se_template(), data, restarts=1, seed=7, parts=parts)
+        result = optimize(FitConfig(Criterion.BAYESIAN_ASC, 1, AscConfig(M=1, J=4)), se_template(), data, seed=7)
+        # sampled once per fit, from the seed that gpselect fit has always used
+        assert seeds == [derived_seed(7, 1)]
         assert result.failed_partition_fraction is not None
         assert 0.0 <= result.failed_partition_fraction <= 1.0
         assert np.isfinite(result.objective_value)
@@ -196,7 +234,7 @@ class TestOptimize:
         # evidence fits evaluate through the fused value-and-gradient seam
         monkeypatch.setattr(optimize_module, "log_evidence_and_grad", always_singular)
         with pytest.raises(OptimizationFailed):
-            optimize(Criterion.EVIDENCE, se_template(), data, 2, seed=8)
+            optimize(FitConfig(Criterion.EVIDENCE, 2), se_template(), data, seed=8)
 
     def test_exhausted_ladders_do_not_compute_the_pivot(self, monkeypatch):
         # a periodic kernel is not PSD on 2-D inputs, so the line search of this
@@ -221,7 +259,7 @@ class TestOptimize:
 
         monkeypatch.setattr(regression_module, "chol_spd", counted_chol)
         monkeypatch.setattr(gaussian_module, "_smallest_pivot", counted_pivot)
-        result = optimize(Criterion.EVIDENCE, kernel_template("per"), data, 2, seed=8)
+        result = optimize(FitConfig(Criterion.EVIDENCE, 2), kernel_template("per"), data, seed=8)
         assert np.isfinite(result.objective_value)
         assert counts["exhausted"] > 0
         assert counts["pivots"] == 0
@@ -242,7 +280,7 @@ class TestOptimize:
         monkeypatch.setattr(optimize_module, "finite_diff_gradient", no_finite_differences)
         rng = np.random.default_rng(8)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        result = optimize(criterion, se_template(), data, 2, seed=4)
+        result = optimize(FitConfig(criterion, 2), se_template(), data, seed=4)
         assert np.isfinite(result.objective_value)
         repeats = sum(np.array_equal(a, b) for a, b in zip(visited, visited[1:]))
         assert repeats == 0
@@ -307,8 +345,8 @@ class TestOptimize:
         monkeypatch.setattr(optimize_module, "_wolfe_search", search)
         rng = np.random.default_rng(8)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        parts = sample_partitions(data.n, AscConfig(M=1, J=4), 2) if criterion.is_asc else None
-        result = optimize(criterion, se_template(), data, 3, seed=4, parts=parts)
+        fit = FitConfig(criterion, 3, AscConfig(M=1, J=4) if criterion.is_asc else None)
+        result = optimize(fit, se_template(), data, seed=4)
         assert np.isfinite(result.objective_value)
         # one gradient per restart's start, and one per line-search point that passed
         assert state["grads"] == state["slopes"] + 3
@@ -318,7 +356,7 @@ class TestOptimize:
         # single-replicate smoke: the full recovery study is in acceptance
         teacher = KernelSpec.create("se", lengthscale=1.0, signal=1.0, noise=0.1)
         train, _ = sample_synthetic(teacher, 64, 1, seed=123)
-        result = optimize(Criterion.EVIDENCE, se_template(), train, 3, seed=4)
+        result = optimize(FitConfig(Criterion.EVIDENCE, 3), se_template(), train, seed=4)
         recovered = np.exp(result.theta)
         assert 0.3 < recovered[0] < 3.0  # lengthscale
         assert 0.25 < recovered[1] < 4.0  # signal
