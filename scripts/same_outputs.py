@@ -10,7 +10,8 @@ with ``PYTHONPATH=<checkout>/src`` and ``OPENBLAS_NUM_THREADS=1``, through
 ``gpselect.cli.main`` and into its own directory. That directory's name is
 masked, then every output file, stdout, stderr and exit code is compared.
 Exits 1 with a list of what differs; the outputs are then kept for a look.
-A full run takes about two minutes, the two checkouts side by side on two cores.
+A full run takes about 90 s on a 2-core machine, the two checkouts side by side.
+A checkout whose ``rank`` uses a worker per CPU shares those cores with the other.
 
     python3 scripts/same_outputs.py --parent ../parent --change . --numeric
 

@@ -61,11 +61,16 @@ def _fit_config(args, criterion) -> FitConfig:
         raise UsageError(str(err)) from err
 
 
-def _check_out(path) -> None:
-    """Fail before any work is done if an output could not be written to ``path``."""
-    parent = None if path is None else Path(path).parent
-    if parent is not None and not (parent.is_dir() and os.access(parent, os.W_OK)):
-        raise UsageError(f"cannot write {path}: {parent} is not a writable directory")
+def _check_out(*paths) -> None:
+    """Fail before any work is done if an output could not be written to one of ``paths``."""
+    for path in paths:
+        if path is None:
+            continue
+        parent = Path(path).parent
+        if not (parent.is_dir() and os.access(parent, os.W_OK)):
+            raise UsageError(f"cannot write {path}: {parent} is not a writable directory")
+        if Path(path).is_dir():
+            raise UsageError(f"cannot write {path}: it is a directory")
 
 
 def _resolve_seed(seed) -> int:
@@ -115,15 +120,15 @@ def _write_dataset_csv(data: Dataset, path) -> None:
 def cmd_synth(args) -> int:
     seed = _resolve_seed(args.seed)
     teacher = _teacher_from_flags(args, args.kernel)
-    _check_out(args.out)
+    out = Path(args.out)
+    train_path = out.with_name(out.stem + "_train" + (out.suffix or ".csv"))
+    test_path = out.with_name(out.stem + "_test" + (out.suffix or ".csv"))
+    _check_out(train_path, test_path)
     if args.n_train < 1 or args.n_test < 0:
         raise UsageError("--n-train must be >= 1 and --n-test >= 0")
     train, test = sample_synthetic(
         teacher, args.n_train, args.n_test, (args.input_lo, args.input_hi), seed
     )
-    out = Path(args.out)
-    train_path = out.with_name(out.stem + "_train" + (out.suffix or ".csv"))
-    test_path = out.with_name(out.stem + "_test" + (out.suffix or ".csv"))
     _write_dataset_csv(train, train_path)
     _write_dataset_csv(test, test_path)
     print(train_path)
@@ -187,7 +192,10 @@ def cmd_fit(args) -> int:
 
 def cmd_rank(args) -> int:
     seed = _resolve_seed(args.seed)
-    _check_out(args.out)
+    out = Path(args.out)
+    json_path = out.with_suffix(".json")
+    csv_path = out.with_suffix(".csv")
+    _check_out(json_path, csv_path)
     # ExperimentConfig requires exactly one of the two
     data = None if args.data is None else _load(args.data, _split_csv_list(args.input_cols), args.output_col)
     teacher = None if args.teacher_kernel is None else _teacher_from_flags(args, args.teacher_kernel)
@@ -208,9 +216,6 @@ def cmd_rank(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from err
     report = run_ranking(cfg)
-    out = Path(args.out)
-    json_path = out.with_suffix(".json")
-    csv_path = out.with_suffix(".csv")
     write_report(report, json_path)
     write_rank_csv(report, csv_path)
     print(json_path)

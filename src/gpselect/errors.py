@@ -38,8 +38,11 @@ class AllPartitionsFailed(GpSelectError):
     """Every data partition failed numerically; the objective is undefined."""
 
     def __init__(self, n_partitions: int):
-        super().__init__(f"all {n_partitions} partitions failed numerically")
+        super().__init__(n_partitions)
         self.n_partitions = n_partitions
+
+    def __str__(self) -> str:
+        return f"all {self.n_partitions} partitions failed numerically"
 
 
 class OptimizationFailed(GpSelectError):

@@ -80,6 +80,8 @@ class GaussianDist:
 
     Construct through :meth:`from_moments`, which symmetrizes and applies the
     jitter ladder; ``cov`` always equals ``chol @ chol.T`` up to round-off.
+    A bit-symmetric covariance is factored as given, so ``cov`` may be the
+    caller's array.
     """
 
     mean: np.ndarray
@@ -94,9 +96,11 @@ class GaussianDist:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean length {mean.size}"
             )
-        if cov.size and float(np.max(np.abs(cov - cov.T))) > 1e-10:
-            raise ValueError("covariance is asymmetric beyond tolerance 1e-10")
-        factor, used = chol_spd(0.5 * (cov + cov.T), name)
+        if not np.array_equal(cov, cov.T):
+            if float(np.max(np.abs(cov - cov.T))) > 1e-10:
+                raise ValueError("covariance is asymmetric beyond tolerance 1e-10")
+            cov = 0.5 * (cov + cov.T)
+        factor, used = chol_spd(cov, name)
         return cls(mean=mean, cov=used, chol=factor)
 
 

@@ -10,12 +10,23 @@ replicate index alone, so a report is deterministic for a given seed.
 The rank report is one JSON-ready dict, built by ``run_ranking`` from the
 ``ExperimentConfig`` that ran; ``write_report`` and ``write_rank_csv`` write
 it as it is.
+
+``run_ranking`` draws every replicate's data and partitions, then maps one
+task per (replicate, student) pair (fit, score, predict) over a pool of one
+forked worker per CPU this process may run on, opened and joined within the
+call. Fork, because spawn and forkserver import numpy and scipy again in each
+worker (about 1 s). With one usable CPU (say under ``taskset -c 0``) or no
+fork start method, the same tasks run in-process. Either way the results are
+put back in (replicate, student) order, so the report bytes are the same.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import metadata
 
@@ -119,46 +130,50 @@ def _midranks(values, higher_better: bool) -> np.ndarray:
     return rankdata(-arr if higher_better else arr, method="average")
 
 
-def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=None) -> dict:
-    """Fit and score all student kernels on one train/test replicate.
-
-    Returns the replicate's report entry: ``scores`` and ``ranks`` as
-    ``{column: {student: value}}``, and ``test_msll``, ``theta`` (fitted log
-    parameters, None where the fit failed), ``fit_failures`` and
-    ``asc_failed_fraction`` (``{criterion: {student: fraction}}``).
-    """
-    base = cfg.seed if seed is None else seed
-    parts = None
+def _replicate_partitions(cfg: ExperimentConfig, train: Dataset, base: int):
+    """The replicate's scoring partitions, drawn only if an agreement criterion is scored."""
     if any(c.is_asc for c in cfg.criteria):
-        parts = sample_partitions(train.n, cfg.asc, derived_seed(base, 1))
-    scores: dict = {col: {} for col in cfg.columns}
+        return sample_partitions(train.n, cfg.asc, derived_seed(base, 1))
+    return None
+
+
+def _fit_and_score(cfg: ExperimentConfig, train: Dataset, test: Dataset, parts, base: int, si: int):
+    """One (replicate, student) task: fit student ``si``, score it under every
+    column. Returns ``(theta, {column: score}, {criterion: failed partition
+    fraction})``; theta is None, and every score NaN, if the fit failed."""
+    template = kernel_template(cfg.students[si])
+    try:
+        fit = optimize(cfg.fit, template, train, derived_seed(base, 2, si))
+    except OptimizationFailed:
+        return None, dict.fromkeys(cfg.columns, float("nan")), {}
+    kernel = template.with_theta(fit.theta)
+    scores: dict = {}
     asc_fracs: dict = {}
-    thetas: dict = {}
-    for si, structure in enumerate(cfg.students):
-        name = structure.value
-        template = kernel_template(structure)
+    for crit in cfg.criteria:
         try:
-            fit = optimize(cfg.fit, template, train, derived_seed(base, 2, si))
-        except OptimizationFailed:
-            for col in cfg.columns:
-                scores[col][name] = float("nan")
-            thetas[name] = None
-            continue
-        kernel = template.with_theta(fit.theta)
-        thetas[name] = [float(v) for v in fit.theta]
-        for crit in cfg.criteria:
-            try:
-                value, asc = evaluate_criterion(crit, kernel, train, parts)
-            except GpSelectError:
-                value, asc = float("nan"), None
-            scores[crit.value][name] = float(value)
-            if asc is not None:
-                asc_fracs.setdefault(crit.value, {})[name] = asc.failed_fraction
-        try:
-            predictive = predict(kernel, train, test.X)
-            scores[MSLL_COLUMN][name] = msll(predictive.mean, np.diag(predictive.cov), test.y, train.y)
+            value, asc = evaluate_criterion(crit, kernel, train, parts)
         except GpSelectError:
-            scores[MSLL_COLUMN][name] = float("nan")
+            value, asc = float("nan"), None
+        scores[crit.value] = float(value)
+        if asc is not None:
+            asc_fracs[crit.value] = asc.failed_fraction
+    try:
+        predictive = predict(kernel, train, test.X)
+        scores[MSLL_COLUMN] = msll(predictive.mean, np.diag(predictive.cov), test.y, train.y)
+    except GpSelectError:
+        scores[MSLL_COLUMN] = float("nan")
+    return [float(v) for v in fit.theta], scores, asc_fracs
+
+
+def _replicate_entry(cfg: ExperimentConfig, results: list) -> dict:
+    """A replicate's report entry from its ``_fit_and_score`` results, in student order."""
+    names = [s.value for s in cfg.students]
+    scores = {col: {n: res[1][col] for n, res in zip(names, results)} for col in cfg.columns}
+    asc_fracs: dict = {}
+    for name, (_, _, fracs) in zip(names, results):
+        for crit, frac in fracs.items():
+            asc_fracs.setdefault(crit, {})[name] = frac
+    thetas = {n: res[0] for n, res in zip(names, results)}
     ranks = {}
     for col, col_scores in scores.items():
         col_ranks = _midranks(list(col_scores.values()), _HIGHER_BETTER[col])
@@ -171,6 +186,20 @@ def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=Non
         "fit_failures": [n for n, theta in thetas.items() if theta is None],
         "asc_failed_fraction": asc_fracs,
     }
+
+
+def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=None) -> dict:
+    """Fit and score all student kernels on one train/test replicate, in-process.
+
+    Returns the replicate's report entry: ``scores`` and ``ranks`` as
+    ``{column: {student: value}}``, and ``test_msll``, ``theta`` (fitted log
+    parameters, None where the fit failed), ``fit_failures`` and
+    ``asc_failed_fraction`` (``{criterion: {student: fraction}}``).
+    """
+    base = cfg.seed if seed is None else seed
+    parts = _replicate_partitions(cfg, train, base)
+    results = [_fit_and_score(cfg, train, test, parts, base, si) for si in range(len(cfg.students))]
+    return _replicate_entry(cfg, results)
 
 
 def aggregate_ranks(replicates: list[dict]) -> dict:
@@ -200,22 +229,55 @@ def _replicate_datasets(cfg: ExperimentConfig, r: int) -> tuple[Dataset, Dataset
     return tuple(Dataset(cfg.data.X[:, idx], cfg.data.y[idx]) for idx in splits)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_tasks(fn, tasks: list) -> list:
+    """``[fn(task) for task in tasks]``, on a fork pool of one worker per usable CPU."""
+    workers = min(_cpu_count(), len(tasks))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(fn, tasks))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _rank_task(task: tuple):
+    """``_fit_and_score(*task)``, with a library error returned rather than raised."""
+    try:
+        return _fit_and_score(*task)
+    except GpSelectError as err:
+        return err
+
+
 def run_ranking(cfg: ExperimentConfig) -> dict:
     """Full replicated ranking experiment; deterministic for a given seed.
 
     A replicate that fails wholesale (e.g. its teacher draw is numerically
-    singular) is dropped and counted; the run only fails if no replicate
-    survives. Returns the report: ``students``, ``columns``, the
-    ``aggregate_ranks`` table, the surviving ``replicates`` entries,
-    ``failed_replicates``, package ``versions`` and the ``config`` that ran.
+    singular, or one of its tasks raises a library error) is dropped and
+    counted; the run only fails if no replicate survives. Returns the
+    report: ``students``, ``columns``, the ``aggregate_ranks`` table, the
+    surviving ``replicates`` entries, ``failed_replicates``, package
+    ``versions`` and the ``config`` that ran.
     """
-    survivors = []
+    replicates = []
     for r in range(cfg.replicates):
         try:
             train, test = _replicate_datasets(cfg, r)
-            survivors.append(rank_students(cfg, train, test, seed=derived_seed(cfg.seed, r)))
+            base = derived_seed(cfg.seed, r)
+            replicates.append((train, test, _replicate_partitions(cfg, train, base), base))
         except GpSelectError:
             continue
+    n = len(cfg.students)
+    results = _map_tasks(_rank_task, [(cfg, *rep, si) for rep in replicates for si in range(n)])
+    survivors = []
+    for start in range(0, len(results), n):
+        chunk = results[start : start + n]
+        if not any(isinstance(res, GpSelectError) for res in chunk):
+            survivors.append(_replicate_entry(cfg, chunk))
     if not survivors:
         raise OptimizationFailed(f"all {cfg.replicates} replicates failed")
     students = [s.value for s in cfg.students]

@@ -341,6 +341,17 @@ def test_unwritable_out_exits_2_before_any_work(synth_files, tmp_path, monkeypat
     }[command]
     assert main(argv + ["--out", str(tmp_path / "missing" / "out.json")]) == 2
     assert "error:" in capsys.readouterr().err
+    # an output path that names an existing directory: rank writes <out>.json
+    # and <out>.csv, synth writes <stem>_train and <stem>_test
+    out, blocked = {
+        "synth": ("d.csv", "d_test.csv"),
+        "fit": ("out.json", "out.json"),
+        "rank": ("r", "r.csv"),
+        "eval": ("out.json", "out.json"),
+    }[command]
+    (tmp_path / blocked).mkdir()
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    assert "is a directory" in capsys.readouterr().err
 
 
 class TestEval:

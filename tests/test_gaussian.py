@@ -359,6 +359,13 @@ class TestGaussianDistValidation:
         np.testing.assert_array_equal(d.cov, 0.5 * (cov + cov.T))
         np.testing.assert_array_equal(d.chol, np.linalg.cholesky(0.5 * (cov + cov.T)))
 
+    def test_symmetric_covariance_factored_as_given(self):
+        cov = random_spd(np.random.default_rng(3), 5)
+        cov = np.tril(cov) + np.tril(cov, -1).T  # bit-symmetric
+        d = GaussianDist.from_moments(np.zeros(5), cov)
+        np.testing.assert_array_equal(d.cov, cov)
+        np.testing.assert_array_equal(d.chol, np.linalg.cholesky(cov))
+
     def test_chol_reconstructs_cov(self):
         rng = np.random.default_rng(1)
         cov = random_spd(rng, 4)

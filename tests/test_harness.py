@@ -1,9 +1,12 @@
 import importlib
+import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from gpselect import (
+    AllPartitionsFailed,
     AscConfig,
     Criterion,
     Dataset,
@@ -262,6 +265,60 @@ class TestRunRanking:
             "seed": 7,
             "restarts": 1,
         }
+
+
+def _fail_one_fit(monkeypatch, cfg, replicate, student, error):
+    """Make the fit of one (replicate, student) task raise ``error``."""
+    real_optimize = harness_module.optimize
+    target = derived_seed(derived_seed(cfg.seed, replicate), 2, student)
+
+    def stand_in(fit, template, data, seed):
+        if seed == target:
+            raise error
+        return real_optimize(fit, template, data, seed)
+
+    monkeypatch.setattr(harness_module, "optimize", stand_in)
+
+
+class TestTaskPool:
+    """run_ranking maps its (replicate, student) tasks over a fork pool, or in-process on one CPU."""
+
+    def test_one_and_two_workers_give_equal_reports(self, monkeypatch):
+        cfg = tiny_config(criteria=("evidence", "loo", "bnasc"), replicates=3)
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness_module, "_cpu_count", lambda cpus=cpus: cpus)
+            reports.append(json.dumps(run_ranking(cfg), sort_keys=True))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_library_error_in_one_task_drops_that_replicate(self, monkeypatch, cpus):
+        monkeypatch.setattr(harness_module, "_cpu_count", lambda: cpus)
+        cfg = tiny_config(replicates=3)
+        full = run_ranking(cfg)
+        _fail_one_fit(monkeypatch, cfg, 1, 1, AllPartitionsFailed(4))
+        report = run_ranking(cfg)
+        assert report["failed_replicates"] == 1
+        kept = [full["replicates"][0], full["replicates"][2]]
+        assert json.dumps(report["replicates"], sort_keys=True) == json.dumps(kept, sort_keys=True)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_other_errors_propagate(self, monkeypatch, cpus):
+        monkeypatch.setattr(harness_module, "_cpu_count", lambda: cpus)
+        cfg = tiny_config(replicates=2)
+        _fail_one_fit(monkeypatch, cfg, 0, 1, RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            run_ranking(cfg)
+
+    def test_no_worker_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(harness_module, "_cpu_count", lambda: 2)
+        cfg = tiny_config(replicates=2)
+        run_ranking(cfg)
+        assert multiprocessing.active_children() == []
+        _fail_one_fit(monkeypatch, cfg, 0, 0, RuntimeError("boom"))
+        with pytest.raises(RuntimeError):
+            run_ranking(cfg)
+        assert multiprocessing.active_children() == []
 
 
 class TestLoadCsv:
