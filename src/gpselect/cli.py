@@ -88,24 +88,13 @@ def _split_csv_list(raw: str | None) -> list[str] | None:
     return items
 
 
-def _resolve_input_columns(path, input_cols, output_col) -> list[str]:
-    if input_cols is not None:
-        return input_cols
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-    except OSError as err:
-        raise UsageError(f"cannot read {path}: {err}") from err
-    if not header:
-        raise UsageError(f"{path} has no header row")
-    return [c for c in header if c != output_col]
-
-
 def _load(path, input_cols, output_col, shift=None, scale=None) -> Dataset:
     if not Path(path).is_file():
         raise UsageError(f"file not found: {path}")
-    cols = _resolve_input_columns(path, input_cols, output_col)
-    return load_csv_dataset(path, cols, output_col, shift=shift, scale=scale)
+    try:
+        return load_csv_dataset(path, input_cols, output_col, shift=shift, scale=scale)
+    except OSError as err:
+        raise UsageError(f"cannot read {path}: {err}") from err
 
 
 def _write_dataset_csv(data: Dataset, path) -> None:

@@ -27,7 +27,7 @@ from .errors import AllPartitionsFailed, InsufficientData
 # chol_spd is unused here but stays bound: perfbench/tracing.py checks every module's binding
 from .gaussian import chol_spd  # noqa: F401
 from .gaussian import chol_stack, cho_solve_stack, log_product_integral, maxent_linear_map_posterior
-from .kernels import KernelSpec, gram_from_sq_dists
+from .kernels import KernelSpec, gram_and_partials
 from .regression import Dataset
 
 
@@ -164,7 +164,7 @@ def average_log_eta(
     covered = parts.idx1.shape[1] + parts.idx2.shape[1]
     if covered != data.n:
         raise ValueError(f"partitions cover {covered} points but the data has {data.n} points")
-    gram = gram_from_sq_dists(kernel, data.sq_dists)
+    gram = gram_and_partials(kernel, data.sq_dists)[0]
     factor = chol_stack(_blocks(gram, parts.anchors, parts.anchors))
     ok = np.flatnonzero(np.isfinite(factor).all(axis=(1, 2)))
     if not ok.size:

@@ -203,8 +203,8 @@ def rank_students(cfg: ExperimentConfig, train: Dataset, test: Dataset, seed=Non
 
 
 def aggregate_ranks(replicates: list[dict]) -> dict:
-    """Mean rank and 95% half-width (1.96 * sd / sqrt(R)) of ``rank_students`` entries,
-    as ``{column: {student: {"mean_rank": ..., "ci_halfwidth": ...}}}``."""
+    """Mean rank and 95% half-width (1.96 * sd / sqrt(R)) of ``_replicate_entry``
+    entries, as ``{column: {student: {"mean_rank": ..., "ci_halfwidth": ...}}}``."""
     if not replicates:
         raise ValueError("need at least one replicate")
     r = len(replicates)
@@ -311,6 +311,9 @@ def run_ranking(cfg: ExperimentConfig) -> dict:
 def load_csv_dataset(path, input_columns, output_column, *, shift=None, scale=None) -> Dataset:
     """Read a header CSV into a Dataset with standardized inputs.
 
+    ``input_columns=None`` takes every column but the output. SchemaError if
+    none is left, if one is the output or repeats, or if one is missing.
+
     Rows with missing or non-numeric requested fields are skipped and counted.
     Inputs are shifted/scaled to zero mean and unit variance per dimension
     (columns with zero spread pass through unscaled); outputs stay raw. The
@@ -318,13 +321,21 @@ def load_csv_dataset(path, input_columns, output_column, *, shift=None, scale=No
     ``shift``/``scale`` applies that transform instead of computing one, so a
     test set can reuse its training set's standardization.
     """
-    input_columns = list(input_columns)
     rows_x: list[list[float]] = []
     rows_y: list[float] = []
     skipped = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
+        if input_columns is None:
+            input_columns = [c for c in fields if c != output_column]
+        input_columns = list(input_columns)
+        if not input_columns:
+            raise SchemaError(f"no input columns in {path} (header: {fields})")
+        if output_column in input_columns:
+            raise SchemaError(f"output column {output_column!r} is also an input column")
+        if len(set(input_columns)) != len(input_columns):
+            raise SchemaError(f"input columns {input_columns} repeat a column")
         missing = [c for c in [*input_columns, output_column] if c not in fields]
         if missing:
             raise SchemaError(f"columns {missing} not found in {path} (header: {fields})")

@@ -1,9 +1,15 @@
-"""Covariance kernels with log-space hyperparameters."""
+"""Covariance kernels with log-space hyperparameters.
+
+``_KERNELS`` holds each structure once. Its entry computes the Gram from the
+squared input distances, with a callable that computes the log-parameter
+partials only when a gradient is asked for.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -16,13 +22,69 @@ class KernelStructure(str, Enum):
     PERIODIC = "per"
 
 
-# Natural-space parameter names, in the order stored in log_params.
-PARAM_NAMES: dict[KernelStructure, tuple[str, ...]] = {
-    KernelStructure.SQUARED_EXPONENTIAL: ("lengthscale", "signal"),
-    KernelStructure.RATIONAL_QUADRATIC: ("lengthscale", "signal", "alpha"),
-    KernelStructure.EXPONENTIAL: ("lengthscale", "signal"),
-    KernelStructure.PERIODIC: ("lengthscale", "period", "signal"),
+# Smallest normal float: a rational-quadratic scale 2 alpha ell^2 below it has underflowed.
+_TINY = np.finfo(float).tiny
+
+
+def _se(sq, log_params):
+    ell, sf = np.exp(log_params)
+    gram = sf**2 * np.exp(-0.5 * sq / ell**2)
+    return gram, lambda: [gram * (sq / ell**2), 2.0 * gram]
+
+
+def _rq(sq, log_params):
+    log_ell, _, log_alpha = log_params
+    ell, sf, alpha = np.exp(log_params)
+    scale = 2.0 * alpha * ell**2
+    # terms(get_u()) is (u / (1 + u), log(1 + u)), u = sq / scale. Where the scale
+    # underflowed, sq / scale would be 0/0 or overflow: get_u() gives log u there.
+    if scale < _TINY:
+        get_u = lambda: np.log(sq) - np.log(2.0) - log_alpha - 2.0 * log_ell  # -inf where sq is 0
+        terms = lambda log_u: (expit(log_u), np.logaddexp(0.0, log_u))
+        with np.errstate(divide="ignore"):
+            gram = sf**2 * np.exp(-alpha * np.logaddexp(0.0, get_u()))
+    else:
+        get_u = lambda: sq / scale
+        terms = lambda u: (u / (1.0 + u), np.log1p(u))
+        gram = sf**2 * (1.0 + get_u()) ** (-alpha)
+
+    def partials():
+        ratio, log1p_u = terms(get_u())
+        return [gram * (2.0 * alpha * ratio), 2.0 * gram, gram * (alpha * (ratio - log1p_u))]
+
+    return gram, partials
+
+
+def _exp(sq, log_params):
+    ell, sf = np.exp(log_params)
+    gram = sf**2 * np.exp(-np.sqrt(sq) / ell)
+    return gram, lambda: [gram * (np.sqrt(sq) / ell), 2.0 * gram]
+
+
+def _per(sq, log_params):
+    ell, period, sf = np.exp(log_params)
+    gram = sf**2 * np.exp(-2.0 * np.sin(np.pi * np.sqrt(sq) / period) ** 2 / ell**2)
+
+    def partials():
+        angle = np.pi * np.sqrt(sq) / period
+        return [
+            gram * (4.0 * np.sin(angle) ** 2 / ell**2),
+            gram * ((2.0 * angle / ell**2) * np.sin(2.0 * angle)),
+            2.0 * gram,
+        ]
+
+    return gram, partials
+
+
+# One entry per structure: its natural-space parameter names, in log_params
+# order, and (sq, log_params) -> (Gram, callable giving its partials).
+_KERNELS = {
+    KernelStructure.SQUARED_EXPONENTIAL: (("lengthscale", "signal"), _se),
+    KernelStructure.RATIONAL_QUADRATIC: (("lengthscale", "signal", "alpha"), _rq),
+    KernelStructure.EXPONENTIAL: (("lengthscale", "signal"), _exp),
+    KernelStructure.PERIODIC: (("lengthscale", "period", "signal"), _per),
 }
+PARAM_NAMES: dict[KernelStructure, tuple[str, ...]] = {s: names for s, (names, _) in _KERNELS.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,83 +178,27 @@ def pairwise_sq_dists(xa, xb) -> np.ndarray:
     return out
 
 
-# Smallest normal float: a rational-quadratic scale 2 alpha ell^2 below it has underflowed.
-_TINY = np.finfo(float).tiny
+def gram_and_partials(spec: KernelSpec, sq: np.ndarray) -> tuple[np.ndarray, Callable[[], list]]:
+    """Kernel values from squared input distances, and a callable giving dK/d log(param)
+    for each kernel parameter in ``log_params`` order, noise excluded. Where the Gram
+    underflowed to 0, the partial is its exact limit 0, not the NaN of 0 * inf."""
+    gram, entry_partials = _KERNELS[spec.structure][1](sq, spec.log_params)
 
+    def partials() -> list[np.ndarray]:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = entry_partials()
+        for partial in out:
+            nan = np.isnan(partial)
+            if nan.any():
+                partial[nan & (gram == 0.0)] = 0.0
+        return out
 
-def _rq_log_u(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """log u, u = sq / (2 alpha ell^2), from the log-parameters; -inf where sq is 0."""
-    log_ell, _, log_alpha = spec.log_params
-    with np.errstate(divide="ignore"):
-        return np.log(sq) - np.log(2.0) - log_alpha - 2.0 * log_ell
-
-
-def gram_from_sq_dists(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
-    """Kernel values from a matrix of squared input distances."""
-    params = np.exp(spec.log_params)
-    if spec.structure is KernelStructure.SQUARED_EXPONENTIAL:
-        ell, sf = params
-        return sf**2 * np.exp(-0.5 * sq / ell**2)
-    if spec.structure is KernelStructure.RATIONAL_QUADRATIC:
-        ell, sf, alpha = params
-        scale = 2.0 * alpha * ell**2
-        if scale < _TINY:  # sq / scale would be 0/0 or overflow; work from log u
-            return sf**2 * np.exp(-alpha * np.logaddexp(0.0, _rq_log_u(spec, sq)))
-        return sf**2 * (1.0 + sq / scale) ** (-alpha)
-    if spec.structure is KernelStructure.EXPONENTIAL:
-        ell, sf = params
-        return sf**2 * np.exp(-np.sqrt(sq) / ell)
-    if spec.structure is KernelStructure.PERIODIC:
-        ell, period, sf = params
-        return sf**2 * np.exp(-2.0 * np.sin(np.pi * np.sqrt(sq) / period) ** 2 / ell**2)
-    raise ValueError(f"unknown kernel structure {spec.structure!r}")
-
-
-def gram_partials(spec: KernelSpec, sq: np.ndarray, gram: np.ndarray) -> list[np.ndarray]:
-    """dK/d log(param) for each kernel parameter, in ``log_params`` order.
-
-    ``gram`` must be ``gram_from_sq_dists(spec, sq)``; the noise term is not
-    included. Where ``gram`` underflowed to 0, a factor that overflowed would
-    make the product NaN; there the partial is its exact limit, 0.
-    """
-    params = np.exp(spec.log_params)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if spec.structure is KernelStructure.SQUARED_EXPONENTIAL:
-            ell, _ = params
-            partials = [gram * (sq / ell**2), 2.0 * gram]
-        elif spec.structure is KernelStructure.RATIONAL_QUADRATIC:
-            ell, _, alpha = params
-            scale = 2.0 * alpha * ell**2
-            if scale < _TINY:
-                log_u = _rq_log_u(spec, sq)
-                ratio, log1p_u = expit(log_u), np.logaddexp(0.0, log_u)
-            else:
-                u = sq / scale
-                ratio, log1p_u = u / (1.0 + u), np.log1p(u)
-            partials = [gram * (2.0 * alpha * ratio), 2.0 * gram, gram * (alpha * (ratio - log1p_u))]
-        elif spec.structure is KernelStructure.EXPONENTIAL:
-            ell, _ = params
-            partials = [gram * (np.sqrt(sq) / ell), 2.0 * gram]
-        elif spec.structure is KernelStructure.PERIODIC:
-            ell, period, _ = params
-            angle = np.pi * np.sqrt(sq) / period
-            partials = [
-                gram * (4.0 * np.sin(angle) ** 2 / ell**2),
-                gram * ((2.0 * angle / ell**2) * np.sin(2.0 * angle)),
-                2.0 * gram,
-            ]
-        else:
-            raise ValueError(f"unknown kernel structure {spec.structure!r}")
-    for partial in partials:
-        nan = np.isnan(partial)
-        if nan.any():
-            partial[nan & (gram == 0.0)] = 0.0
-    return partials
+    return gram, partials
 
 
 def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
     """Gram matrix between two column-point sets (inputs are D x P and D x Q)."""
-    return gram_from_sq_dists(spec, pairwise_sq_dists(xa, xb))
+    return gram_and_partials(spec, pairwise_sq_dists(xa, xb))[0]
 
 
 def noisy_kernel_matrix(spec: KernelSpec, x) -> np.ndarray:

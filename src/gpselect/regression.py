@@ -18,14 +18,7 @@ from scipy.linalg.lapack import dtrtri
 
 from .errors import DegenerateBaseline, InsufficientData, SingularCovariance
 from .gaussian import GaussianDist, chol_spd, condition, _LOG_2PI, _logpdf_dev
-from .kernels import (
-    KernelSpec,
-    gram_from_sq_dists,
-    gram_partials,
-    kernel_matrix,
-    noisy_kernel_matrix,
-    pairwise_sq_dists,
-)
+from .kernels import KernelSpec, gram_and_partials, kernel_matrix, noisy_kernel_matrix, pairwise_sq_dists
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +60,14 @@ class Dataset:
 
 
 def _output_factor(kernel: KernelSpec, data: Dataset):
-    """Factor K + sigma_n^2 I once; returns ``(gram, factor)``, the noise-free
-    Gram and the lower Cholesky factor of the (possibly jittered) output
-    covariance."""
-    gram = gram_from_sq_dists(kernel, data.sq_dists)
+    """Factor K + sigma_n^2 I once; returns ``(partials, factor)``, the callable
+    giving the noise-free Gram's partials and the lower Cholesky factor of the
+    (possibly jittered) output covariance."""
+    gram, partials = gram_and_partials(kernel, data.sq_dists)
     cov = gram.copy()
     cov.flat[:: data.n + 1] += kernel.noise_variance
     factor, _ = chol_spd(cov, "output covariance")
-    return gram, factor
+    return partials, factor
 
 
 def _inverse_factor(factor: np.ndarray) -> np.ndarray:
@@ -85,13 +78,13 @@ def _inverse_factor(factor: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _contract(kernel: KernelSpec, data: Dataset, gram, weights: np.ndarray) -> np.ndarray:
+def _contract(partials, noise_variance: float, weights: np.ndarray) -> np.ndarray:
     """Gradient sum_kl W_kl dK_kl for dK/dtheta of every optimizer coordinate
-    (kernel log-parameters, then log-noise)."""
-    partials = gram_partials(kernel, data.sq_dists, gram)
-    partials.append((2.0 * kernel.noise_variance) * np.eye(data.n))
+    (kernel log-parameters from ``partials()``, then log-noise)."""
+    dk = partials()
+    dk.append((2.0 * noise_variance) * np.eye(weights.shape[0]))
     flat = weights.ravel()
-    return np.array([flat @ p.ravel() for p in partials])
+    return np.array([flat @ p.ravel() for p in dk])
 
 
 def log_evidence_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, Callable[[], np.ndarray]]:
@@ -104,13 +97,13 @@ def log_evidence_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, Cal
     """
     if data.n < 1:
         raise ValueError("evidence requires at least one data point")
-    gram, factor = _output_factor(kernel, data)
+    partials, factor = _output_factor(kernel, data)
 
     def grad() -> np.ndarray:
         inverse = _inverse_factor(factor)
         precision = inverse.T @ inverse
         alpha = inverse.T @ (inverse @ data.y)
-        return _contract(kernel, data, gram, 0.5 * (np.outer(alpha, alpha) - precision))
+        return _contract(partials, kernel.noise_variance, 0.5 * (np.outer(alpha, alpha) - precision))
 
     return _logpdf_dev(factor, data.y), grad
 
@@ -135,7 +128,7 @@ def loo_cv_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, Callable[
     """
     if data.n < 2:
         raise InsufficientData("leave-one-out requires at least two data points")
-    gram, factor = _output_factor(kernel, data)
+    partials, factor = _output_factor(kernel, data)
     inverse = _inverse_factor(factor)
     q = np.sum(inverse**2, axis=0)
     alpha = inverse.T @ (inverse @ data.y)
@@ -149,7 +142,7 @@ def loo_cv_and_grad(kernel: KernelSpec, data: Dataset) -> tuple[float, Callable[
         weights = np.outer(precision @ (alpha / q), alpha) - (
             precision * (0.5 * (1.0 + alpha**2 / q) / q)
         ) @ precision
-        return -_contract(kernel, data, gram, weights) / data.n
+        return -_contract(partials, kernel.noise_variance, weights) / data.n
 
     return float(-np.mean(log_pred)), grad
 

@@ -354,6 +354,32 @@ def test_unwritable_out_exits_2_before_any_work(synth_files, tmp_path, monkeypat
     assert "is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "rank", "eval"])
+@pytest.mark.parametrize(
+    "columns,message",
+    [
+        (None, "no input columns"),
+        ("x1,y", "also an input column"),
+        ("x1,x1", "repeat a column"),
+    ],
+)
+def test_csv_without_usable_input_columns_exits_2(synth_files, tmp_path, capsys, command, columns, message):
+    train, test = synth_files
+    if columns is None:  # a file whose only column is the output
+        train = test = tmp_path / "y_only.csv"
+        train.write_text("y\n" + "".join(f"{0.1 * i}\n" for i in range(16)))
+    argv = {
+        "fit": ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence"],
+        "rank": ["rank", "--data", str(train), "--students", "se", "--criteria", "evidence",
+                 "--n-train", "8", "--n-test", "4", "--replicates", "1"],
+        "eval": ["eval", "--trivial", "--train", str(train), "--test", str(test)],
+    }[command]
+    cols = [] if columns is None else ["--input-cols", columns]
+    assert main([*argv, *cols, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 class TestEval:
     def test_trivial_baseline_scores_zero(self, synth_files, tmp_path):
         train, test = synth_files

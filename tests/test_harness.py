@@ -364,6 +364,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError):
             load_csv_dataset(path, ["b"], "y")
 
+    def test_default_inputs_are_every_column_but_the_output(self, tmp_path):
+        path = self.write(tmp_path, "b,y,a\n1,2,3\n4,5,7\n")
+        data = load_csv_dataset(path, None, "y")
+        assert data.meta["input_columns"] == ["b", "a"]
+        np.testing.assert_array_equal(data.y, [2.0, 5.0])
+
     def test_all_rows_bad_raises(self, tmp_path):
         path = self.write(tmp_path, "a,y\nx,2\nz,4\n")
         with pytest.raises(EmptyData):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from scipy.stats import multivariate_normal
 
+from _oracles import gram_partials_oracle
 from gpselect import Dataset, KernelSpec, KernelStructure, kernel_matrix, log_evidence, noisy_kernel_matrix
-from gpselect.kernels import gram_from_sq_dists, gram_partials, pairwise_sq_dists
+from gpselect.kernels import gram_and_partials, pairwise_sq_dists
 
 ALL_STRUCTURES = [s.value for s in KernelStructure]
 
@@ -76,7 +77,7 @@ class TestMatrixProperties:
     def test_symmetric_and_psd_on_random_inputs(self, structure):
         # the periodic kernel is a function of the distance and is only
         # guaranteed PSD for 1-D inputs; the radial kernels hold in any D
-        rng = np.random.default_rng(hash(structure) % 2**32)
+        rng = np.random.default_rng(ALL_STRUCTURES.index(structure))
         spec = make_spec(structure, lengthscale=0.8, signal=1.2)
         max_d = 1 if structure == "per" else 3
         for _ in range(50):
@@ -86,6 +87,15 @@ class TestMatrixProperties:
             np.testing.assert_array_equal(gram, gram.T)
             eigs = np.linalg.eigvalsh(gram)
             assert eigs.min() >= -1e-8 * np.trace(gram)
+
+    @pytest.mark.xfail(strict=True, reason="sin^2 of the Euclidean distance is not PSD for D > 1")
+    def test_periodic_psd_in_two_dimensions(self):
+        rng = np.random.default_rng(0)
+        spec = make_spec("per", lengthscale=0.8, signal=1.2)
+        for _ in range(50):
+            x = rng.uniform(-3, 3, (2, 8))
+            gram = kernel_matrix(spec, x, x)
+            assert np.linalg.eigvalsh(gram).min() >= -1e-8 * np.trace(gram)
 
     @pytest.mark.parametrize("structure", ALL_STRUCTURES)
     def test_gram_exactly_symmetric_in_ten_dimensions(self, structure):
@@ -97,19 +107,21 @@ class TestMatrixProperties:
     @pytest.mark.parametrize("structure", ALL_STRUCTURES)
     def test_partials_match_central_differences(self, structure):
         rng = np.random.default_rng(6)
-        x = rng.uniform(0, 4, (2, 7))
         spec = make_spec(structure, noise=0.1)
-        sq = pairwise_sq_dists(x, x)
-        partials = gram_partials(spec, sq, gram_from_sq_dists(spec, sq))
-        assert len(partials) == spec.log_params.size
         h = 1e-6
-        for k, partial in enumerate(partials):
-            step = np.zeros(spec.log_params.size)
-            step[k] = h
-            up = KernelSpec(spec.structure, spec.log_params + step, spec.log_noise)
-            down = KernelSpec(spec.structure, spec.log_params - step, spec.log_noise)
-            numeric = (kernel_matrix(up, x, x) - kernel_matrix(down, x, x)) / (2.0 * h)
-            np.testing.assert_allclose(partial, numeric, rtol=1e-6, atol=1e-9)
+        for dim in (1, 2, 3):
+            x = rng.uniform(0, 4, (dim, 7))
+            partials = gram_and_partials(spec, pairwise_sq_dists(x, x))[1]()
+            assert len(partials) == spec.log_params.size
+            oracle = gram_partials_oracle(spec, Dataset(x, np.zeros(7)))[:-1]  # without the noise
+            for k, partial in enumerate(partials):
+                np.testing.assert_allclose(partial, oracle[k], rtol=1e-10, atol=0.0)
+                step = np.zeros(spec.log_params.size)
+                step[k] = h
+                up = KernelSpec(spec.structure, spec.log_params + step, spec.log_noise)
+                down = KernelSpec(spec.structure, spec.log_params - step, spec.log_noise)
+                numeric = (kernel_matrix(up, x, x) - kernel_matrix(down, x, x)) / (2.0 * h)
+                np.testing.assert_allclose(partial, numeric, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("structure", ALL_STRUCTURES)
     def test_cross_matrix_transposes_exactly(self, structure):
@@ -152,11 +164,9 @@ class TestPartialsWellDefined:
     def test_no_nan_wherever_gram_is_finite(self, structure, log_params):
         x = np.random.default_rng(0).uniform(0, 10, (1, 16))
         spec = KernelSpec(structure, np.array(log_params[: len(make_spec(structure).log_params)]), 0.0)
-        sq = pairwise_sq_dists(x, x)
         with np.errstate(all="ignore"):
-            gram = gram_from_sq_dists(spec, sq)
-        partials = gram_partials(spec, sq, gram)
-        for partial in partials:
+            gram, partials = gram_and_partials(spec, pairwise_sq_dists(x, x))
+        for partial in partials():
             assert not np.isnan(partial[np.isfinite(gram)]).any()
             # an underflowed Gram entry has the exact limit 0 as its partial
             assert np.all(partial[gram == 0.0] == 0.0)
@@ -179,7 +189,7 @@ class TestRqUnderflow:
         x = self.points()
         spec = KernelSpec("rq", self.LOG_PARAMS, 0.0)
         sq = pairwise_sq_dists(x, x)
-        partials = gram_partials(spec, sq, gram_from_sq_dists(spec, sq))
+        partials = gram_and_partials(spec, sq)[1]()
         with mpmath.workdps(50):
             ell, alpha = mpmath.e ** -300, mpmath.e ** -300
             for i, j in [(0, 0), (0, 1), (3, 11)]:
