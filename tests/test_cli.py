@@ -38,6 +38,12 @@ def run_synth(tmp_path, seed=3, n_train=16, n_test=6, extra=()):
     return code, tmp_path / "d_train.csv", tmp_path / "d_test.csv"
 
 
+def env_with_this_package() -> dict:
+    """The environment, with the imported gpselect first on a subprocess's path."""
+    src = str(Path(gpselect.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 class TestSynth:
     def test_writes_two_files(self, tmp_path):
         code, train, test = run_synth(tmp_path)
@@ -78,8 +84,7 @@ class TestSynth:
         assert len(test.read_text().splitlines()) == 5
 
     def test_runs_as_module(self, tmp_path):
-        src = str(Path(gpselect.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = env_with_this_package()
         argv = ["synth", "--kernel", "se", "--n-train", "4", "--n-test", "2", "--seed", "1"]
         proc = subprocess.run(
             [sys.executable, "-m", "gpselect.cli", *argv, "--out", str(tmp_path / "d.csv")],
@@ -89,6 +94,16 @@ class TestSynth:
         train, test = tmp_path / "d_train.csv", tmp_path / "d_test.csv"
         assert proc.stdout.splitlines() == [str(train), str(test)]
         assert train.is_file() and test.is_file()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats alone took about half a second of every command's start-up
+    code = "import sys, gpselect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env_with_this_package(), check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.fixture()
@@ -377,6 +392,23 @@ def test_csv_without_usable_input_columns_exits_2(synth_files, tmp_path, capsys,
     cols = [] if columns is None else ["--input-cols", columns]
     assert main([*argv, *cols, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["fit", "rank", "eval"])
+def test_csv_header_naming_a_column_twice_exits_2(tmp_path, capsys, command):
+    # csv.DictReader keeps the last of two same-named columns, so --input-cols a
+    # would silently read the second one
+    path = tmp_path / "dup.csv"
+    path.write_text("a,a,y\n" + "".join(f"{0.1 * i},{i + 20.0},{np.sin(i)}\n" for i in range(40)))
+    argv = {
+        "fit": ["fit", "--train", str(path), "--kernel", "se", "--criterion", "evidence"],
+        "rank": ["rank", "--data", str(path), "--students", "se", "--criteria", "evidence",
+                 "--n-train", "16", "--n-test", "8", "--replicates", "1"],
+        "eval": ["eval", "--trivial", "--train", str(path), "--test", str(path)],
+    }[command]
+    assert main([*argv, "--input-cols", "a", "--out", str(tmp_path / "out")]) == 2
+    assert "names ['a'] more than once" in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))
 
 

@@ -4,6 +4,9 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from gpselect import (
     AllPartitionsFailed,
@@ -108,6 +111,21 @@ class TestMidranks:
         base = _midranks(scores, True)
         squashed = _midranks(np.tanh(scores) * 3.0 + 1.0, True)
         np.testing.assert_array_equal(base, squashed)
+
+
+# Few distinct values, so ties are common, with both zeros, both infinities and NaN.
+_RANKED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_RANKED_VALUES, max_size=9), st.booleans())
+def test_midranks_equal_scipy_average_rankdata(values, higher_better):
+    arr = np.asarray(values, dtype=float)
+    mapped = np.where(np.isnan(arr), -np.inf if higher_better else np.inf, arr)
+    expected = rankdata(-mapped if higher_better else mapped, method="average")
+    got = _midranks(values, higher_better)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestRankStudents:
