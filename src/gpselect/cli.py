@@ -247,6 +247,8 @@ def cmd_eval(args) -> int:
         shift, scale = std.get("shift"), std.get("scale")
         train = _load(args.train, input_cols, args.output_col, shift=shift, scale=scale)
         test = _load(args.test, input_cols, args.output_col, shift=shift, scale=scale)
+        if train.dim != test.dim:
+            raise UsageError(f"{args.train} has {train.dim} input columns but {args.test} has {test.dim}")
         predictive = predict(kernel, train, test.X)
         value = msll(predictive.mean, np.diag(predictive.cov), test.y, train.y)
         model_desc = str(args.model)

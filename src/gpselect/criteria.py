@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -89,6 +90,13 @@ class Partitions:
     def __len__(self) -> int:
         return self.idx1.shape[0]
 
+    @cached_property
+    def gather(self) -> tuple:
+        """Flat (N, N) Gram indices of each split's anchor block ``(J, M, M)``, then per
+        half of its ``(J, M, n_i)`` cross and ``(J, n_i, n_i)`` blocks; built on first use."""
+        flat = lambda rows, cols: rows[:, :, None] * (self.idx1.shape[1] + self.idx2.shape[1]) + cols[:, None, :]
+        return flat(self.anchors, self.anchors), *((flat(self.anchors, i), flat(i, i)) for i in (self.idx1, self.idx2))
+
 
 @dataclass(frozen=True)
 class AscConfig:
@@ -132,11 +140,6 @@ def sample_partitions(n: int, cfg: AscConfig, seed: int) -> Partitions:
     return Partitions(np.sort(perms[:, :half], axis=1), np.sort(perms[:, half:], axis=1), np.sort(anchors, axis=1))
 
 
-def _blocks(gram: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``gram[rows[j]][:, cols[j]]`` for every j, from ``(J, p)`` and ``(J, q)`` index stacks."""
-    return np.take(gram, rows[:, :, None] * gram.shape[1] + cols[:, None, :])
-
-
 def average_log_eta(
     kernel: KernelSpec,
     data: Dataset,
@@ -165,18 +168,18 @@ def average_log_eta(
     if covered != data.n:
         raise ValueError(f"partitions cover {covered} points but the data has {data.n} points")
     gram = gram_and_partials(kernel, data.sq_dists)[0]
-    factor = chol_stack(_blocks(gram, parts.anchors, parts.anchors))
+    factor = chol_stack(np.take(gram, parts.gather[0]))
     ok = np.flatnonzero(np.isfinite(factor).all(axis=(1, 2)))
     if not ok.size:
         raise AllPartitionsFailed(len(parts))
-    anchors, factor = parts.anchors[ok], factor[ok]
-    m = anchors.shape[1]
+    factor = factor[ok]
+    m = factor.shape[1]
     prior_precision = cho_solve_stack(factor, np.broadcast_to(np.eye(m), factor.shape))  # K_aa^-1
     components = []
-    for idx in (parts.idx1[ok], parts.idx2[ok]):
-        cross = _blocks(gram, anchors, idx)  # K_ai, (J', M, n_i)
+    for idx, (cross_at, half_at) in zip((parts.idx1[ok], parts.idx2[ok]), parts.gather[1:]):
+        cross = np.take(gram, cross_at[ok])  # K_ai, (J', M, n_i)
         a_map = cho_solve_stack(factor, cross)
-        sigma = _blocks(gram, idx, idx) + kernel.noise_variance * np.eye(idx.shape[1])
+        sigma = np.take(gram, half_at[ok]) + kernel.noise_variance * np.eye(idx.shape[1])
         sigma -= np.swapaxes(cross, 1, 2) @ a_map
         lam, r = maxent_linear_map_posterior(a_map, data.y[idx], sigma)
         if criterion is Criterion.BAYESIAN_ASC:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve, ldl, solve_triangular
+from scipy.linalg import cho_solve, ldl
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import SingularCovariance
 
@@ -39,7 +40,7 @@ def chol_spd(mat: np.ndarray, name: str = "covariance") -> tuple[np.ndarray, np.
     reports is computed only when read.
     """
     mat = np.asarray(mat, dtype=float)
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise SingularCovariance(f"{name} has a non-finite entry")
     try:
         return np.linalg.cholesky(mat), mat
@@ -68,10 +69,11 @@ def _smallest_pivot(sym: np.ndarray) -> float | None:
 
 
 def _logpdf_dev(chol: np.ndarray, dev: np.ndarray) -> float:
-    """log N(dev | 0, L L^T) from the cached factor."""
-    # unchecked: a non-finite precision must give a non-finite value, not a ValueError
-    z = solve_triangular(chol, dev, lower=True, check_finite=False)
-    return float(-0.5 * (dev.size * _LOG_2PI + z @ z) - np.sum(np.log(np.diag(chol))))
+    """log N(dev | 0, L L^T) from a C-ordered lower factor L, solved unchecked as solve_triangular does."""
+    z, info = dtrtrs(chol.T, dev, lower=0, trans=1)  # L^T is a Fortran-ordered upper factor
+    if info != 0:
+        raise SingularCovariance(f"covariance factor has a zero pivot (dtrtrs info {info})")
+    return float(-0.5 * (dev.size * _LOG_2PI + z @ z) - np.log(chol.diagonal()).sum())
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,8 @@
 
 ``_KERNELS`` holds each structure once. Its entry computes the Gram from the
 squared input distances, with a callable that computes the log-parameter
-partials only when a gradient is asked for.
+partials only when a gradient is asked for. They reuse the Gram's
+intermediates, which live only as long as that callable.
 """
 
 from __future__ import annotations
@@ -57,23 +58,21 @@ def _rq(sq, log_params):
 
 def _exp(sq, log_params):
     ell, sf = np.exp(log_params)
-    gram = sf**2 * np.exp(-np.sqrt(sq) / ell)
-    return gram, lambda: [gram * (np.sqrt(sq) / ell), 2.0 * gram]
+    scaled = np.sqrt(sq) / ell
+    gram = sf**2 * np.exp(-scaled)
+    return gram, lambda: [gram * scaled, 2.0 * gram]
 
 
 def _per(sq, log_params):
     ell, period, sf = np.exp(log_params)
-    gram = sf**2 * np.exp(-2.0 * np.sin(np.pi * np.sqrt(sq) / period) ** 2 / ell**2)
-
-    def partials():
-        angle = np.pi * np.sqrt(sq) / period
-        return [
-            gram * (4.0 * np.sin(angle) ** 2 / ell**2),
-            gram * ((2.0 * angle / ell**2) * np.sin(2.0 * angle)),
-            2.0 * gram,
-        ]
-
-    return gram, partials
+    angle = np.pi * np.sqrt(sq) / period
+    sin2 = np.sin(angle) ** 2
+    gram = sf**2 * np.exp(-2.0 * sin2 / ell**2)
+    return gram, lambda: [
+        gram * (4.0 * sin2 / ell**2),
+        gram * ((2.0 * angle / ell**2) * np.sin(2.0 * angle)),
+        2.0 * gram,
+    ]
 
 
 # One entry per structure: its natural-space parameter names, in log_params
@@ -108,9 +107,10 @@ class KernelSpec:
             raise ValueError(
                 f"{self.structure.value} kernel takes {expected} log-parameters, got {params.size}"
             )
-        if not np.all(np.isfinite(params)) or not np.all(np.isfinite(np.exp(params))):
+        # exp is monotone, so the extreme entries decide; NaN fails both comparisons
+        if not (params.min() > -np.inf and np.exp(params.max()) < np.inf):
             raise ValueError("log-parameters must exponentiate to positive finite values")
-        if np.isnan(self.log_noise) or not np.isfinite(np.exp(self.log_noise)):
+        if not np.exp(self.log_noise) < np.inf:
             raise ValueError("log-noise must exponentiate to a finite value")
 
     @classmethod
@@ -203,6 +203,7 @@ def kernel_matrix(spec: KernelSpec, xa, xb) -> np.ndarray:
 
 def noisy_kernel_matrix(spec: KernelSpec, x) -> np.ndarray:
     """Gram matrix of a point set plus sigma_n^2 on the diagonal."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return kernel_matrix(spec, x, x) + spec.noise_variance * np.eye(x.shape[1])
+    gram = kernel_matrix(spec, x, x)
+    gram.flat[:: gram.shape[0] + 1] += spec.noise_variance
+    return gram
 

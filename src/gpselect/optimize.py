@@ -12,6 +12,7 @@ penalty that the line search backs away from.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -184,7 +185,7 @@ def lbfgs_minimize(f, x0, *, maxiter: int = 200) -> MinimizeResult:
     converged = False
     iterations = 0
     for iterations in range(1, maxiter + 1):
-        if np.max(np.abs(grad)) < _GTOL:
+        if np.abs(grad).max() < _GTOL:
             converged = True
             break
         # two-loop recursion for the quasi-Newton direction
@@ -200,7 +201,7 @@ def lbfgs_minimize(f, x0, *, maxiter: int = 200) -> MinimizeResult:
             b = rho * (yv @ q)
             q += (a - b) * s
         direction = -q
-        if not np.all(np.isfinite(direction)) or direction @ grad >= 0:
+        if not np.isfinite(direction).all() or direction @ grad >= 0:
             s_hist.clear(), y_hist.clear(), rho_hist.clear()
             direction = -grad
 
@@ -220,7 +221,7 @@ def lbfgs_minimize(f, x0, *, maxiter: int = 200) -> MinimizeResult:
         s = alpha * direction
         yv = g_new - grad
         sy = s @ yv
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
+        if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(yv @ yv):
             s_hist.append(s)
             y_hist.append(yv)
             rho_hist.append(1.0 / sy)
@@ -257,7 +258,7 @@ def optimize(fit: FitConfig, template: KernelSpec, data: Dataset, seed: int) -> 
 
     def f_min(theta):
         theta = np.asarray(theta, dtype=float)
-        if not np.all(np.isfinite(theta)) or np.max(np.abs(theta)) > _THETA_BOUND:
+        if not np.abs(theta).max() <= _THETA_BOUND:  # also NaN
             return np.inf, None
         try:
             if value_and_grad is not None:

@@ -409,3 +409,42 @@ def loo_oracle(kern: KernelSpec, data: Dataset, cov=None) -> tuple[float, np.nda
         per_fold = (alpha * (z @ alpha) - 0.5 * (1.0 + alpha**2 / q) * np.diag(z @ inv)) / q
         grad.append(-float(np.sum(per_fold)) / data.n)
     return value, np.array(grad)
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit references: the same arithmetic written another way
+
+
+def old_params_accepted(log_params) -> bool:
+    """KernelSpec's log-parameter test written over whole arrays: every entry
+    finite and exponentiating to a finite value."""
+    p = np.asarray(log_params, dtype=float)
+    return bool(np.all(np.isfinite(p)) and np.all(np.isfinite(np.exp(p))))
+
+
+def old_noise_accepted(log_noise) -> bool:
+    """KernelSpec's log-noise test written out: not NaN, and exp finite (so -inf passes)."""
+    return not (np.isnan(log_noise) or not np.isfinite(np.exp(log_noise)))
+
+
+def closed_form_kernel(structure, log_params, xa, xb) -> np.ndarray:
+    """Each structure's Gram written out as the benchmark's independent output
+    check writes it: squared distances summed one input dimension at a time,
+    natural parameters from one exp, one closed form per structure (rq without
+    its underflow branch)."""
+    sq = np.zeros((xa.shape[1], xb.shape[1]))
+    for d in range(xa.shape[0]):
+        sq += (xa[d][:, None] - xb[d][None, :]) ** 2
+    p = np.exp(np.asarray(log_params, dtype=float))
+    structure = KernelStructure(structure)
+    if structure is KernelStructure.SQUARED_EXPONENTIAL:
+        ell, sf = p
+        return sf**2 * np.exp(-0.5 * sq / ell**2)
+    if structure is KernelStructure.RATIONAL_QUADRATIC:
+        ell, sf, alpha = p
+        return sf**2 * (1.0 + sq / (2.0 * alpha * ell**2)) ** (-alpha)
+    if structure is KernelStructure.EXPONENTIAL:
+        ell, sf = p
+        return sf**2 * np.exp(-np.sqrt(sq) / ell)
+    ell, period, sf = p
+    return sf**2 * np.exp(-2.0 * np.sin(np.pi * np.sqrt(sq) / period) ** 2 / ell**2)

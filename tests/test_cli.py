@@ -491,6 +491,32 @@ class TestEval:
         model = ["eval", "--model", str(tmp_path / "fit.json"), *files]
         assert main([*model, "--input-cols", "x1,x2"]) == 2
 
+    @pytest.mark.parametrize(
+        "dropped", [("input_columns",), ("input_columns", "input_standardization")], ids=["columns", "both"]
+    )
+    def test_model_without_recorded_columns_on_files_of_other_widths_exits_2(
+        self, synth_files, tmp_path, capsys, dropped
+    ):
+        train, test = synth_files
+        fit_path = tmp_path / "fit.json"
+        fit = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence", "--restarts", "1"]
+        assert main([*fit, "--seed", "2", "--out", str(fit_path)]) == 0
+        report = json.loads(fit_path.read_text())
+        for key in dropped:
+            del report[key]
+        fit_path.write_text(json.dumps(report))
+        # the test set gains a second input column, which the model never saw
+        rows = [line.split(",") for line in test.read_text().splitlines()[1:]]
+        wide = tmp_path / "wide.csv"
+        wide.write_text("x1,x2,y\n" + "".join(f"{x},0.5,{y}\n" for x, y in rows))
+        out = tmp_path / "eval.json"
+        for first, second in ((train, wide), (wide, train)):
+            argv = ["eval", "--model", str(fit_path), "--train", str(first), "--test", str(second)]
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "numerical failure" not in err
+            assert not out.exists()
+
     def test_missing_test_file_exits_2(self, synth_files, tmp_path):
         train, _ = synth_files
         code = main(

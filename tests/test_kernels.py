@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 
 from scipy.stats import multivariate_normal
 
-from _oracles import gram_partials_oracle
+from _oracles import closed_form_kernel, gram_partials_oracle, old_noise_accepted, old_params_accepted
 from gpselect import Dataset, KernelSpec, KernelStructure, kernel_matrix, log_evidence, noisy_kernel_matrix
-from gpselect.kernels import gram_and_partials, pairwise_sq_dists
+from gpselect.kernels import PARAM_NAMES, gram_and_partials, pairwise_sq_dists
 
 ALL_STRUCTURES = [s.value for s in KernelStructure]
 
@@ -50,6 +52,32 @@ class TestFormulas:
         assert at_period == pytest.approx(sf2, rel=1e-12)
         half = kernel_matrix(spec, [[0.0]], [[1.0]])[0, 0]
         assert half == pytest.approx(math.exp(-2.0), rel=1e-12)
+
+
+class TestClosedForms:
+    """Each Gram bit for bit against its closed form as the benchmark's output
+    check writes it; the check's NaN-or-finite verdicts at a jitter-rung
+    boundary rest on the two agreeing."""
+
+    LOG_PARAMS = {
+        "se": [(0.0, 0.0), (-1.3, 0.7), (2.1, -0.4)],
+        "rq": [(0.0, 0.0, 0.0), (-1.0, 0.5, -2.0), (1.5, -0.3, 3.0)],
+        "exp": [(0.0, 0.0), (-2.0, 1.1), (1.7, -0.6)],
+        "per": [(0.0, 0.4, 0.0), (-0.8, -1.2, 0.9), (1.2, 2.5, -0.5)],
+    }
+
+    @pytest.mark.parametrize("dim", [1, 6])
+    @pytest.mark.parametrize("structure", ALL_STRUCTURES)
+    def test_kernel_matrix_is_the_closed_form_bit_for_bit(self, structure, dim):
+        rng = np.random.default_rng(40 + dim)
+        xa, xb = rng.uniform(-3.0, 3.0, (dim, 9)), rng.uniform(-3.0, 3.0, (dim, 7))
+        for log_params in self.LOG_PARAMS[structure]:
+            spec = KernelSpec(structure, np.array(log_params), -1.3)
+            for a, b in ((xa, xa), (xa, xb)):
+                expected = closed_form_kernel(structure, log_params, a, b)
+                assert kernel_matrix(spec, a, b).tobytes() == expected.tobytes()
+            noisy = closed_form_kernel(structure, log_params, xa, xa) + spec.noise_variance * np.eye(9)
+            assert noisy_kernel_matrix(spec, xa).tobytes() == noisy.tobytes()
 
 
 class TestNoisyMatrix:
@@ -216,6 +244,50 @@ class TestSpecValidation:
     def test_non_finite_params_rejected(self):
         with pytest.raises(ValueError):
             KernelSpec(KernelStructure.SQUARED_EXPONENTIAL, np.array([np.inf, 0.0]), 0.0)
+
+    @staticmethod
+    def edge_values():
+        """Non-finite values, signed zeros, +-300, and the floats next to log(float max),
+        where exp starts to overflow."""
+        top = np.log(np.finfo(float).max)
+        near = [top]
+        for direction in (np.inf, -np.inf):
+            value = top
+            for _ in range(3):
+                value = np.nextafter(value, direction)
+                near.append(value)
+        # the overflow boundary lies among them
+        with np.errstate(over="ignore"):
+            assert {old_params_accepted([v]) for v in near} == {True, False}
+        return [np.nan, np.inf, -np.inf, 0.0, -0.0, 300.0, -300.0, *near]
+
+    @staticmethod
+    def outcome(check):
+        """(accepted, warnings raised) of ``check()``, which returns a bool or raises ValueError."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                accepted = check() is not False
+            except ValueError:
+                accepted = False
+        return accepted, [(w.category, str(w.message)) for w in caught]
+
+    @pytest.mark.parametrize("structure", ["se", "rq"])
+    def test_params_accepted_exactly_as_by_the_whole_array_check(self, structure):
+        size = len(PARAM_NAMES[KernelStructure(structure)])
+        for combo in itertools.product(self.edge_values(), repeat=size):
+            params = np.array(combo)
+            expected = self.outcome(lambda: old_params_accepted(params))
+            assert self.outcome(lambda: KernelSpec(structure, params, 0.0)) == expected, combo
+
+    def test_noise_accepted_exactly_as_by_the_old_check(self):
+        for value in self.edge_values():
+            expected = self.outcome(lambda: old_noise_accepted(value))
+            assert self.outcome(lambda: KernelSpec("se", np.zeros(2), value)) == expected, value
+        assert KernelSpec("se", np.zeros(2), -np.inf).noise_variance == 0.0
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="log-noise"):
+                KernelSpec("se", np.zeros(2), value)
 
     def test_missing_structure_param_rejected(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from _oracles import (
     loo_oracle,
     mvn_logpdf,
     random_gp_instance,
+    random_kernel,
 )
 from gpselect import (
     Dataset,
@@ -25,6 +26,8 @@ from gpselect import (
     noisy_kernel_matrix,
     predict,
 )
+from scipy.linalg import solve_triangular
+
 from gpselect.gaussian import chol_spd
 from gpselect.regression import log_evidence_and_grad, loo_cv_and_grad
 
@@ -183,6 +186,37 @@ class TestExactGradients:
         )
         err = np.min(np.abs(numeric - grad), axis=0)
         np.testing.assert_array_less(err, 1e-3 * np.maximum(1.0, np.abs(grad)))
+
+
+def evidence_through_solve_triangular(model, data) -> tuple[float, bool]:
+    """log_evidence's arithmetic with its triangular solve done by
+    ``scipy.linalg.solve_triangular``, and whether the factor was jittered."""
+    cov = noisy_kernel_matrix(model, data.X)
+    factor, used = chol_spd(cov, "output covariance")
+    z = solve_triangular(factor, data.y, lower=True, check_finite=False)
+    value = -0.5 * (data.n * float(np.log(2.0 * np.pi)) + z @ z) - np.sum(np.log(np.diag(factor)))
+    return float(value), not np.array_equal(used, cov)
+
+
+class TestEvidenceBits:
+    """log_evidence calls LAPACK's triangular solve itself; it must give the
+    bits that scipy's wrapper gives."""
+
+    @pytest.mark.parametrize("n", [1, 64, 128])
+    def test_equals_the_solve_triangular_route(self, n):
+        rng = np.random.default_rng(n)
+        for structure in KernelStructure:
+            model = random_kernel(rng, structure.value)
+            data = Dataset(rng.uniform(-3.0, 3.0, (1, n)), rng.standard_normal(n))
+            expected, jittered = evidence_through_solve_triangular(model, data)
+            assert not jittered
+            assert log_evidence(model, data) == expected
+
+    def test_equals_the_solve_triangular_route_on_a_jittered_factor(self):
+        model, data = TestJitteredFactor._instance(3e-8)
+        expected, jittered = evidence_through_solve_triangular(model, data)
+        assert jittered
+        assert log_evidence(model, data) == expected
 
 
 class TestJitteredFactor:
