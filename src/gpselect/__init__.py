@@ -19,11 +19,7 @@ from .errors import (
     SchemaError,
     SingularCovariance,
 )
-from .gaussian import (
-    GaussianDist,
-    log_product_integral,
-    maxent_linear_map_posterior,
-)
+from .gaussian import log_product_integral, maxent_linear_map_posterior
 from .harness import (
     ExperimentConfig,
     aggregate_ranks,
@@ -46,7 +42,6 @@ __all__ = [
     "EmptyData",
     "ExperimentConfig",
     "FitConfig",
-    "GaussianDist",
     "GpSelectError",
     "InsufficientData",
     "KernelSpec",

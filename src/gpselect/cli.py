@@ -220,9 +220,8 @@ def cmd_eval(args) -> int:
     if args.trivial:
         train = _load(args.train, input_cols, args.output_col)
         test = _load(args.test, input_cols, args.output_col)
-        base_mean = float(np.mean(train.y))
-        base_var = float(np.var(train.y))
-        value = msll(np.full(test.n, base_mean), np.full(test.n, base_var), test.y, train.y)
+        base_mean, base_var = float(np.mean(train.y)), float(np.var(train.y))
+        predictive = np.full(test.n, base_mean), np.full(test.n, base_var)
         model_desc = "trivial"
     else:
         if not Path(args.model).is_file():
@@ -250,8 +249,8 @@ def cmd_eval(args) -> int:
         if train.dim != test.dim:
             raise UsageError(f"{args.train} has {train.dim} input columns but {args.test} has {test.dim}")
         predictive = predict(kernel, train, test.X)
-        value = msll(predictive.mean, np.diag(predictive.cov), test.y, train.y)
         model_desc = str(args.model)
+    value = msll(*predictive, test.y, train.y)
     print(repr(value))
     if args.out:
         write_report(

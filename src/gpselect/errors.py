@@ -50,7 +50,9 @@ class OptimizationFailed(GpSelectError):
 
 
 class SchemaError(GpSelectError):
-    """A requested column is missing from an input file."""
+    """An input file's columns do not fit the request: its header names a column
+    twice, no input column is left, a requested column is missing, an input
+    repeats or is the output, or a given transform's width is not the inputs'."""
 
 
 class EmptyData(GpSelectError):

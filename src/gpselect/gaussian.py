@@ -1,10 +1,10 @@
-"""Multivariate-Gaussian algebra: factorization, conditioning and closed-form integrals.
+"""Multivariate-Gaussian algebra: factorization and closed-form integrals.
 
-Conditioning works in moment form (mean, covariance). The agreement integrals
-work in information form (precision Lambda, shift r = Lambda mean), in which
-products of Gaussians add and no precision is ever inverted. Their routines
-take only stacks of J problems, ``(J, n, n)`` matrices and ``(J, n)``
-vectors, and reject an unstacked argument; a slice that cannot factor is NaN.
+The agreement integrals work in information form (precision Lambda, shift
+r = Lambda mean), in which products of Gaussians add and no precision is ever
+inverted. Their routines take only stacks of J problems, ``(J, n, n)``
+matrices and ``(J, n)`` vectors, and reject an unstacked argument; a slice
+that cannot factor is NaN.
 ``chol_spd`` factors one matrix; ``chol_stack`` factors a stack the same way.
 Everything works in log space; raw densities are never multiplied. All types
 are immutable after construction and safe to share across threads.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_solve, ldl
+from scipy.linalg import ldl
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import SingularCovariance
@@ -83,7 +83,9 @@ class GaussianDist:
     Construct through :meth:`from_moments`, which symmetrizes and applies the
     jitter ladder; ``cov`` always equals ``chol @ chol.T`` up to round-off.
     A bit-symmetric covariance is factored as given, so ``cov`` may be the
-    caller's array.
+    caller's array. It stays only because ``regression.predict`` factors its
+    P x P covariance through it for the ``SingularCovariance`` verdict, and
+    the benchmark's tracer wraps ``from_moments`` as that verdict's span.
     """
 
     mean: np.ndarray
@@ -104,23 +106,6 @@ class GaussianDist:
             cov = 0.5 * (cov + cov.T)
         factor, used = chol_spd(cov, name)
         return cls(mean=mean, cov=used, chol=factor)
-
-
-def condition(factor, cross, cov_target, observed, name: str = "conditional covariance") -> GaussianDist:
-    """Zero-mean Gaussian over targets given observed values (GPML eqs. 2.23-2.24).
-
-    ``factor`` is the lower Cholesky factor of the observed block's covariance
-    K (from :func:`chol_spd`), ``cross`` the observed-by-target covariance and
-    ``cov_target`` the targets' prior covariance. The result has mean
-    ``cross^T K^-1 observed`` and covariance ``cov_target - cross^T K^-1 cross``.
-    """
-    gain = cho_solve((factor, True), cross)  # K^{-1} cross
-    cov = cov_target - cross.T @ gain
-    # symmetrize in place: cov_target stays referenced, so a copy here would
-    # keep one more (P, P) array alive while from_moments factors
-    cov += cov.T
-    cov *= 0.5
-    return GaussianDist.from_moments(gain.T @ observed, cov, name)
 
 
 def _cholesky_slices(sym: np.ndarray, rescue) -> np.ndarray:

@@ -162,8 +162,7 @@ def _fit_and_score(cfg: ExperimentConfig, train: Dataset, test: Dataset, parts, 
         if asc is not None:
             asc_fracs[crit.value] = asc.failed_fraction
     try:
-        predictive = predict(kernel, train, test.X)
-        scores[MSLL_COLUMN] = msll(predictive.mean, np.diag(predictive.cov), test.y, train.y)
+        scores[MSLL_COLUMN] = msll(*predict(kernel, train, test.X), test.y, train.y)
     except GpSelectError:
         scores[MSLL_COLUMN] = float("nan")
     return [float(v) for v in fit.theta], scores, asc_fracs

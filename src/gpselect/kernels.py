@@ -137,6 +137,10 @@ class KernelSpec:
             logs.append(np.log(value))
         if not noise >= 0:
             raise ValueError(f"noise must be non-negative, got {noise}")
+        # the Gram holds lengthscale^2 and signal^2, the output covariance noise^2
+        for name, value in (("lengthscale", lengthscale), ("signal", signal), ("noise", noise)):
+            if not float(value) * float(value) < np.inf:
+                raise ValueError(f"parameter '{name}' = {value} overflows when squared")
         log_noise = np.log(noise) if noise > 0 else -np.inf
         return cls(structure, np.array(logs), log_noise)
 

@@ -178,9 +178,7 @@ def lbfgs_minimize(f, x0, *, maxiter: int = 200) -> MinimizeResult:
     if not np.isfinite(fx):
         return MinimizeResult(x=x, fun=fx, converged=False, n_iter=0)
     grad = grad_at()
-    s_hist: deque = deque(maxlen=_HISTORY)
-    y_hist: deque = deque(maxlen=_HISTORY)
-    rho_hist: deque = deque(maxlen=_HISTORY)
+    history: deque = deque(maxlen=_HISTORY)  # (s, y, 1 / s^T y), oldest first
     trail = [fx]
     converged = False
     iterations = 0
@@ -191,18 +189,19 @@ def lbfgs_minimize(f, x0, *, maxiter: int = 200) -> MinimizeResult:
         # two-loop recursion for the quasi-Newton direction
         q = grad.copy()
         alphas = []
-        for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for s, yv, rho in reversed(history):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * yv
-        if s_hist:
-            q *= (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-        for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        if history:
+            s, yv, _ = history[-1]
+            q *= (s @ yv) / (yv @ yv)
+        for (s, yv, rho), a in zip(history, reversed(alphas)):
             b = rho * (yv @ q)
             q += (a - b) * s
         direction = -q
         if not np.isfinite(direction).all() or direction @ grad >= 0:
-            s_hist.clear(), y_hist.clear(), rho_hist.clear()
+            history.clear()
             direction = -grad
 
         def f_line(alpha):
@@ -222,9 +221,7 @@ def lbfgs_minimize(f, x0, *, maxiter: int = 200) -> MinimizeResult:
         yv = g_new - grad
         sy = s @ yv
         if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(yv @ yv):
-            s_hist.append(s)
-            y_hist.append(yv)
-            rho_hist.append(1.0 / sy)
+            history.append((s, yv, 1.0 / sy))
         x = x + s
         fx, grad = f_new, g_new
         trail.append(fx)

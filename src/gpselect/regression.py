@@ -14,10 +14,11 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtri
 
 from .errors import DegenerateBaseline, InsufficientData, SingularCovariance
-from .gaussian import GaussianDist, chol_spd, condition, _LOG_2PI, _logpdf_dev
+from .gaussian import GaussianDist, chol_spd, _LOG_2PI, _logpdf_dev
 from .kernels import KernelSpec, gram_and_partials, kernel_matrix, noisy_kernel_matrix, pairwise_sq_dists
 
 
@@ -152,16 +153,26 @@ def loo_cv_objective(kernel: KernelSpec, data: Dataset) -> float:
     return loo_cv_and_grad(kernel, data)[0]
 
 
-def predict(kernel: KernelSpec, train: Dataset, xstar) -> GaussianDist:
-    """Predictive Gaussian over noisy test outputs at the given inputs."""
+def predict(kernel: KernelSpec, train: Dataset, xstar) -> tuple[np.ndarray, np.ndarray]:
+    """``(mean, var)``: the predictive mean and marginal variance of the noisy
+    test outputs at the given inputs (GPML eqs. 2.23-2.24).
+
+    The P x P predictive covariance is formed and factored only for its
+    verdict, :class:`SingularCovariance` where it is not positive-definite
+    (ROADMAP item 3); ``var`` is the diagonal of the matrix factored.
+    """
     xstar = np.atleast_2d(np.asarray(xstar, dtype=float))
     if xstar.shape[1] < 1:
         raise ValueError("prediction requires at least one test input")
     _, factor = _output_factor(kernel, train)
     cross = kernel_matrix(kernel, train.X, xstar)  # (N, P)
-    return condition(
-        factor, cross, noisy_kernel_matrix(kernel, xstar), train.y, "predictive covariance"
-    )
+    gain = cho_solve((factor, True), cross)  # K^{-1} cross
+    cov = noisy_kernel_matrix(kernel, xstar) - cross.T @ gain
+    # symmetrize in place: a copy would keep one more (P, P) array alive while it is factored
+    cov += cov.T
+    cov *= 0.5
+    predictive = GaussianDist.from_moments(gain.T @ train.y, cov, "predictive covariance")
+    return predictive.mean, predictive.cov.diagonal().copy()
 
 
 def msll(mean, var, y_test, train_y) -> float:

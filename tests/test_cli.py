@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,11 +63,23 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--sn", "nan"], ["--input-lo", "5", "--input-hi", "1"], ["--input-lo", "nan"], ["--input-hi", "inf"]],
+        [
+            ["--sn", "nan"],
+            ["--input-lo", "5", "--input-hi", "1"],
+            ["--input-lo", "nan"],
+            ["--input-hi", "inf"],
+            # each squares to inf
+            ["--kernel", "per", "--period", "3", "--sf", "1e200"],
+            ["--ell", "1e200"],
+            ["--sn", "1e200"],
+        ],
     )
     def test_invalid_teacher_flags_exit_2_without_files(self, tmp_path, capsys, extra):
-        code, _, _ = run_synth(tmp_path, extra=extra)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_synth(tmp_path, extra=extra)
         assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
@@ -330,12 +343,20 @@ class TestRank:
             ["--sn", "nan"],
             ["--input-lo", "5", "--input-hi", "1"],
             ["--input-lo", "nan"],
+            # teacher values that square to inf
+            ["--teacher-kernel", "per", "--period", "3", "--sf", "1e200"],
+            ["--ell", "1e200"],
+            ["--sn", "1e200"],
         ],
     )
-    def test_invalid_argument_value_exits_2(self, tmp_path, extra):
+    def test_invalid_argument_value_exits_2(self, tmp_path, capsys, extra):
         # a repeated flag overrides the value rank_args set
-        assert main(self.rank_args(tmp_path) + extra) == 2
-        assert not (tmp_path / "rank_out.json").exists()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(self.rank_args(tmp_path) + extra) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["synth", "fit", "rank", "eval"])
@@ -427,7 +448,7 @@ class TestEval:
         def refused(*args, **kwargs):
             raise AssertionError("the trivial baseline needs no P x P covariance")
 
-        monkeypatch.setattr(gpselect.GaussianDist, "from_moments", refused)
+        monkeypatch.setattr(gpselect.gaussian.GaussianDist, "from_moments", refused)
         train, test = synth_files
         assert main(["eval", "--trivial", "--train", str(train), "--test", str(test)]) == 0
 

@@ -11,13 +11,8 @@ from _oracles import (
     normal_logpdf,
     random_spd,
 )
-from gpselect import (
-    GaussianDist,
-    SingularCovariance,
-    log_product_integral,
-    maxent_linear_map_posterior,
-)
-from gpselect.gaussian import chol_spd, condition
+from gpselect import SingularCovariance, log_product_integral, maxent_linear_map_posterior
+from gpselect.gaussian import GaussianDist, chol_spd
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -37,6 +32,15 @@ class TestCholSpd:
             chol_spd(mat)
         with pytest.raises(SingularCovariance):
             chol_spd(np.array([[bad]]))
+
+    def test_singular_bottom_block_raises_with_pivot(self):
+        bottom = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+        with pytest.raises(SingularCovariance) as excinfo:
+            chol_spd(bottom, "bottom-block covariance")
+        pivot = excinfo.value.smallest_pivot
+        assert pivot is not None
+        assert pivot < 0
+        assert f"(smallest pivot {pivot:.3e})" in str(excinfo.value)
 
 
 def old_ladder(mat):
@@ -70,45 +74,6 @@ class TestJitterLadder:
         assert factor.tobytes() == ref_factor.tobytes()
         assert used.tobytes() == ref_used.tobytes()
         assert mat.tobytes() == (0.5 * (mat + mat.T)).tobytes()  # the input is left as it was
-
-
-class TestCondition:
-    def test_zero_cross_block_is_identity(self):
-        rng = np.random.default_rng(3)
-        cov_target = random_spd(rng, 2)
-        cond = condition(np.array([[np.sqrt(2.0)]]), np.zeros((1, 2)), cov_target, [7.0])
-        np.testing.assert_allclose(cond.mean, [0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(cond.cov, cov_target, atol=1e-14)
-
-    def test_bivariate_textbook_case(self):
-        rho, u0 = 0.5, 2.0
-        cond = condition(np.array([[1.0]]), np.array([[rho]]), np.array([[1.0]]), [u0])
-        assert cond.mean[0] == pytest.approx(1.0, abs=1e-13)
-        assert cond.cov[0, 0] == pytest.approx(0.75, abs=1e-13)
-
-    def test_matches_joint_over_marginal_ratio(self):
-        rng = np.random.default_rng(4)
-        m, n = 3, 2
-        full = random_spd(rng, m + n)  # targets first, then observed
-        obs = rng.uniform(-1, 1, n)
-        factor = np.linalg.cholesky(full[m:, m:])
-        cond = condition(factor, full[m:, :m], full[:m, :m], obs)
-        log_marg = mvn_logpdf(obs, np.zeros(n), full[m:, m:])
-        for _ in range(5):
-            t = rng.uniform(-2, 2, m)
-            log_joint = mvn_logpdf(np.concatenate([t, obs]), np.zeros(m + n), full)
-            got = mvn_logpdf(t, cond.mean, cond.cov)
-            assert got == pytest.approx(log_joint - log_marg, abs=1e-8)
-
-    def test_singular_bottom_block_raises_with_pivot(self):
-        # callers factor the observed block with chol_spd before conditioning
-        bottom = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(SingularCovariance) as excinfo:
-            chol_spd(bottom, "bottom-block covariance")
-        pivot = excinfo.value.smallest_pivot
-        assert pivot is not None
-        assert pivot < 0
-        assert f"(smallest pivot {pivot:.3e})" in str(excinfo.value)
 
 
 def info_form(mean, cov):

@@ -293,6 +293,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             KernelSpec.create("rq", lengthscale=1.0, signal=1.0, noise=0.1)
 
+    @pytest.mark.parametrize("name", ["lengthscale", "signal", "noise"])
+    def test_value_whose_square_overflows_rejected(self, name):
+        values = {"lengthscale": 1.0, "signal": 1.0, "noise": 0.1}
+        with pytest.raises(ValueError, match=f"'{name}'.*squared"):
+            KernelSpec.create("se", **{**values, name: 1e200})
+        spec = KernelSpec.create("se", **{**values, name: 1e150})  # its square, 1e300, is finite
+        assert spec.named_params()[name] == pytest.approx(1e150)
+
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
             KernelSpec.create("se", lengthscale=-1.0, signal=1.0, noise=0.1)

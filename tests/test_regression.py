@@ -259,27 +259,35 @@ class TestPredict:
     def test_noiseless_interpolation(self):
         model = se_model(sn=0.0)
         data = Dataset([[0.0, 1.0, 2.5]], [0.3, -0.4, 0.9])
-        pred = predict(model, data, [[1.0]])
-        assert pred.mean[0] == pytest.approx(-0.4, abs=1e-8)
-        assert pred.cov[0, 0] <= 1e-8
+        mean, var = predict(model, data, [[1.0]])
+        assert mean[0] == pytest.approx(-0.4, abs=1e-8)
+        assert var[0] <= 1e-8
+
+    def test_one_training_point_bivariate_textbook_case(self):
+        # unit prior variances with correlation k = 0.5 between the training and
+        # test outputs: mean k y = 1 and variance 1 - k^2 = 0.75
+        model = se_model(sf=1.0, sn=0.0)
+        mean, var = predict(model, Dataset([[0.0]], [2.0]), [[np.sqrt(2.0 * np.log(2.0))]])
+        assert mean[0] == pytest.approx(1.0, abs=1e-13)
+        assert var[0] == pytest.approx(0.75, abs=1e-13)
 
     def test_far_from_data_reverts_to_prior(self):
         model = se_model(sf=1.3, sn=0.2)
         data = Dataset([[0.0, 1.0]], [0.5, 0.7])
-        pred = predict(model, data, [[40.0]])
-        assert pred.mean[0] == pytest.approx(0.0, abs=1e-10)
-        assert pred.cov[0, 0] == pytest.approx(1.3**2 + 0.04, rel=1e-10)
+        mean, var = predict(model, data, [[40.0]])
+        assert mean[0] == pytest.approx(0.0, abs=1e-10)
+        assert var[0] == pytest.approx(1.3**2 + 0.04, rel=1e-10)
 
     def test_matches_conditioning_on_joint(self):
         rng = np.random.default_rng(7)
         model, data = random_gp_instance(rng)
         xstar = rng.uniform(0, 6, (1, 3))
-        pred = predict(model, data, xstar)
+        mean, var = predict(model, data, xstar)
         cross = kernel_matrix(model, data.X, xstar)
         gain = np.linalg.solve(noisy_kernel_matrix(model, data.X), cross)
-        np.testing.assert_allclose(pred.mean, gain.T @ data.y, atol=1e-10)
+        np.testing.assert_allclose(mean, gain.T @ data.y, atol=1e-10)
         np.testing.assert_allclose(
-            pred.cov, noisy_kernel_matrix(model, xstar) - cross.T @ gain, atol=1e-10
+            var, np.diag(noisy_kernel_matrix(model, xstar) - cross.T @ gain), atol=1e-10
         )
 
     def test_variance_bounded_by_prior(self):
@@ -287,20 +295,18 @@ class TestPredict:
         for structure in ("se", "rq", "exp", "per"):
             model, data = random_gp_instance(rng, structure=structure)
             xstar = rng.uniform(0, 6, (1, 5))
-            pred = predict(model, data, xstar)
+            _, var = predict(model, data, xstar)
             prior_var = kernel_matrix(model, xstar[:, :1], xstar[:, :1])[0, 0]
             prior_var += model.noise_variance
-            assert np.max(np.diag(pred.cov)) <= prior_var + 1e-8
+            assert np.max(var) <= prior_var + 1e-8
 
     def test_adding_a_point_never_inflates_variance(self):
         rng = np.random.default_rng(9)
         model, data = random_gp_instance(rng, n_lo=8, n_hi=8)
         xstar = rng.uniform(0, 6, (1, 1))
-        var_small = predict(
-            model, Dataset(data.X[:, :-1], data.y[:-1]), xstar
-        ).cov[0, 0]
-        var_full = predict(model, data, xstar).cov[0, 0]
-        assert var_full <= var_small + 1e-8
+        _, var_small = predict(model, Dataset(data.X[:, :-1], data.y[:-1]), xstar)
+        _, var_full = predict(model, data, xstar)
+        assert var_full[0] <= var_small[0] + 1e-8
 
 
 class TestMsll:
