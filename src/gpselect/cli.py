@@ -74,9 +74,11 @@ def _check_out(*paths) -> None:
 
 
 def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return int(seed)
-    return int(np.random.SeedSequence().entropy % (2**63))
+    if seed is None:
+        return int(np.random.SeedSequence().entropy % (2**63))
+    if seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {seed}")
+    return int(seed)
 
 
 def _split_csv_list(raw: str | None) -> list[str] | None:

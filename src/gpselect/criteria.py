@@ -11,8 +11,8 @@ prior, which in information form adds its precision. One routine builds both
 and integrates their product with the prior in closed form, for all J
 partitions of a call at once. ``Partitions`` holds the J splits as ``(J, ...)``
 index arrays, sampled once per fit or replicate, and every step works on
-``(J, ...)`` stacks gathered with them from one Gram matrix. A partition whose
-factorization fails is a NaN in the stack and counts as failed.
+``(J, ...)`` stacks gathered with them from one Gram matrix, row j for split j.
+A partition whose factorization fails stays a NaN row at every stage.
 """
 
 from __future__ import annotations
@@ -157,9 +157,10 @@ def average_log_eta(
 
     The mean is of the agreements themselves (not their logs), by log-sum-exp
     over the sorted per-partition values, so it does not depend on evaluation
-    order. A partition whose factorization fails or whose value is not finite
-    counts as failed. Raises AllPartitionsFailed only if no partition survives,
-    and ValueError if ``parts`` does not split exactly the data's N points.
+    order. A partition whose anchor block or half covariance cannot factor
+    stays a NaN row through every stage; one whose value is not finite counts
+    as failed. Raises AllPartitionsFailed only if no value is finite, and
+    ValueError if ``parts`` does not split exactly the data's N points.
     """
     criterion = Criterion(criterion)
     if not criterion.is_asc:
@@ -169,25 +170,20 @@ def average_log_eta(
         raise ValueError(f"partitions cover {covered} points but the data has {data.n} points")
     gram = gram_and_partials(kernel, data.sq_dists)[0]
     factor = chol_stack(np.take(gram, parts.gather[0]))
-    ok = np.flatnonzero(np.isfinite(factor).all(axis=(1, 2)))
-    if not ok.size:
-        raise AllPartitionsFailed(len(parts))
-    factor = factor[ok]
     m = factor.shape[1]
     prior_precision = cho_solve_stack(factor, np.broadcast_to(np.eye(m), factor.shape))  # K_aa^-1
     components = []
-    for idx, (cross_at, half_at) in zip((parts.idx1[ok], parts.idx2[ok]), parts.gather[1:]):
-        cross = np.take(gram, cross_at[ok])  # K_ai, (J', M, n_i)
+    for idx, (cross_at, half_at) in zip((parts.idx1, parts.idx2), parts.gather[1:]):
+        cross = np.take(gram, cross_at)  # K_ai, (J, M, n_i)
         a_map = cho_solve_stack(factor, cross)
-        sigma = np.take(gram, half_at[ok]) + kernel.noise_variance * np.eye(idx.shape[1])
+        sigma = np.take(gram, half_at) + kernel.noise_variance * np.eye(idx.shape[1])
         sigma -= np.swapaxes(cross, 1, 2) @ a_map
         lam, r = maxent_linear_map_posterior(a_map, data.y[idx], sigma)
         if criterion is Criterion.BAYESIAN_ASC:
             lam += prior_precision
         components.append((lam, r))
-    components.append((prior_precision, np.zeros((ok.size, m))))
-    values = np.full(len(parts), np.nan)
-    values[ok] = log_product_integral(components)
+    components.append((prior_precision, np.zeros((len(parts), m))))
+    values = log_product_integral(components)
     ordered = np.sort(values[np.isfinite(values)])
     if not ordered.size:
         raise AllPartitionsFailed(len(parts))

@@ -78,34 +78,21 @@ def _logpdf_dev(chol: np.ndarray, dev: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GaussianDist:
-    """Gaussian with a cached lower-triangular factor of its covariance.
+    """A mean and the covariance :func:`chol_spd` factored for it.
 
-    Construct through :meth:`from_moments`, which symmetrizes and applies the
-    jitter ladder; ``cov`` always equals ``chol @ chol.T`` up to round-off.
-    A bit-symmetric covariance is factored as given, so ``cov`` may be the
-    caller's array. It stays only because ``regression.predict`` factors its
-    P x P covariance through it for the ``SingularCovariance`` verdict, and
-    the benchmark's tracer wraps ``from_moments`` as that verdict's span.
+    It stays only because ``regression.predict`` factors its P x P covariance
+    through :meth:`from_moments` for the ``SingularCovariance`` verdict, and
+    the benchmark's tracer wraps ``from_moments`` as that verdict's span. The
+    covariance must be bit-symmetric, as ``predict`` makes it; ``cov`` is the
+    caller's array unless the jitter ladder had to shift its diagonal.
     """
 
     mean: np.ndarray
     cov: np.ndarray
-    chol: np.ndarray
 
     @classmethod
     def from_moments(cls, mean, cov, name: str = "covariance") -> "GaussianDist":
-        mean = np.asarray(mean, dtype=float).reshape(-1)
-        cov = np.asarray(cov, dtype=float)
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(
-                f"covariance shape {cov.shape} does not match mean length {mean.size}"
-            )
-        if not np.array_equal(cov, cov.T):
-            if float(np.max(np.abs(cov - cov.T))) > 1e-10:
-                raise ValueError("covariance is asymmetric beyond tolerance 1e-10")
-            cov = 0.5 * (cov + cov.T)
-        factor, used = chol_spd(cov, name)
-        return cls(mean=mean, cov=used, chol=factor)
+        return cls(mean, chol_spd(cov, name)[1])
 
 
 def _cholesky_slices(sym: np.ndarray, rescue) -> np.ndarray:

@@ -141,6 +141,10 @@ class KernelSpec:
         for name, value in (("lengthscale", lengthscale), ("signal", signal), ("noise", noise)):
             if not float(value) * float(value) < np.inf:
                 raise ValueError(f"parameter '{name}' = {value} overflows when squared")
+        # and divides by lengthscale^2; the periodic angle divides by the period
+        for name in ("lengthscale", "period"):
+            if name in PARAM_NAMES[structure] and not float(values[name]) * float(values[name]) >= _TINY:
+                raise ValueError(f"parameter '{name}' = {values[name]} underflows when squared")
         log_noise = np.log(noise) if noise > 0 else -np.inf
         return cls(structure, np.array(logs), log_noise)
 

@@ -72,6 +72,10 @@ class TestSynth:
             ["--kernel", "per", "--period", "3", "--sf", "1e200"],
             ["--ell", "1e200"],
             ["--sn", "1e200"],
+            # each squares below the smallest normal float
+            ["--ell", "1e-200"],
+            ["--kernel", "per", "--period", "1e-320"],
+            ["--kernel", "per", "--period", "3", "--ell", "1e-160"],
         ],
     )
     def test_invalid_teacher_flags_exit_2_without_files(self, tmp_path, capsys, extra):
@@ -347,6 +351,10 @@ class TestRank:
             ["--teacher-kernel", "per", "--period", "3", "--sf", "1e200"],
             ["--ell", "1e200"],
             ["--sn", "1e200"],
+            # teacher values that square below the smallest normal float
+            ["--ell", "1e-200"],
+            ["--teacher-kernel", "per", "--period", "1e-320"],
+            ["--teacher-kernel", "per", "--period", "3", "--ell", "1e-160"],
         ],
     )
     def test_invalid_argument_value_exits_2(self, tmp_path, capsys, extra):
@@ -357,6 +365,23 @@ class TestRank:
         assert "error:" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "rank"])
+def test_negative_seed_exits_2_without_output(synth_files, tmp_path, capsys, command):
+    # numpy's seeding refuses a negative integer deep inside the numerical code
+    train, _ = synth_files
+    argv = {
+        "synth": ["synth", "--kernel", "se", "--seed", "-1", "--out", str(tmp_path / "d.csv")],
+        "fit": ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence", "--seed", "-2",
+                "--out", str(tmp_path / "fit.json")],
+        "rank": ["rank", "--teacher-kernel", "se", "--students", "se", "--criteria", "evidence", "--seed", "-3",
+                 "--out", str(tmp_path / "r")],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["synth", "fit", "rank", "eval"])

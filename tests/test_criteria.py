@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -66,6 +67,19 @@ def take(parts, index):
 def rows(parts):
     """Each row of ``parts`` as its own one-row set."""
     return [take(parts, [j]) for j in range(len(parts))]
+
+
+def record_values(monkeypatch):
+    """The list to which every later average_log_eta call appends its per-partition log agreements."""
+    real = criteria.log_product_integral
+    seen = []
+
+    def recording(components):
+        seen.append(real(components))
+        return seen[-1]
+
+    monkeypatch.setattr(criteria, "log_product_integral", recording)
+    return seen
 
 
 def swap(parts):
@@ -352,14 +366,7 @@ class TestAverageLogEta:
         rng = np.random.default_rng(40)
         model, data = random_gp_instance(rng)
         part = random_partitions(rng, data.n)
-        real = criteria.log_product_integral
-        seen = []
-
-        def recording(components):
-            seen.append(real(components))
-            return seen[-1]
-
-        monkeypatch.setattr(criteria, "log_product_integral", recording)
+        seen = record_values(monkeypatch)
         for variant in ASC_CRITERIA:
             score = average_log_eta(model, data, part, variant)
             assert seen[-1].shape == (1,)
@@ -425,6 +432,57 @@ class TestAverageLogEta:
         assert score.n_failed == 1
         expected = logsumexp(np.sort([values[0], values[2]])) - np.log(2.0)
         assert score.value == pytest.approx(float(expected), abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ASC_CRITERIA)
+    def test_each_row_is_its_one_partition_value(self, monkeypatch, variant):
+        rng = np.random.default_rng(45)
+        model, data = random_gp_instance(rng, n_lo=11, n_hi=14)
+        parts = random_partitions(rng, data.n, m=2, count=6)
+        seen = record_values(monkeypatch)
+        average_log_eta(model, data, parts, variant)
+        batched = seen[-1]
+        for j, part in enumerate(rows(parts)):
+            average_log_eta(model, data, part, variant)
+            assert seen[-1].tobytes() == batched[j : j + 1].tobytes()
+
+    @pytest.mark.parametrize("variant", ASC_CRITERIA)
+    def test_nan_anchor_factor_fails_its_partition_alone(self, monkeypatch, variant):
+        # the row stays in every stack as NaN; the later stages' batched
+        # factorizations fall back to slice by slice and give the others
+        # the same bits
+        rng = np.random.default_rng(46)
+        model, data = random_gp_instance(rng, n_lo=11, n_hi=14)
+        parts = random_partitions(rng, data.n, m=2, count=5)
+        seen = record_values(monkeypatch)
+        average_log_eta(model, data, parts, variant)
+        clean = np.delete(seen[-1], 1)
+        real = criteria.chol_stack
+
+        def nan_for_second(mats):
+            out = real(mats)
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(criteria, "chol_stack", nan_for_second)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            score = average_log_eta(model, data, parts, variant)
+        assert seen[-1][np.isfinite(seen[-1])].tobytes() == clean.tobytes()
+        assert np.isnan(seen[-1][1])  # row j of every stack is partition j
+        assert score.n_failed == 1
+        assert score.value == float(logsumexp(np.sort(clean)) - np.log(clean.size))
+
+    @pytest.mark.parametrize("variant", ASC_CRITERIA)
+    def test_every_anchor_factor_nan_raises(self, monkeypatch, variant):
+        rng = np.random.default_rng(47)
+        model, data = random_gp_instance(rng)
+        parts = random_partitions(rng, data.n, count=4)
+        monkeypatch.setattr(criteria, "chol_stack", lambda mats: np.full_like(mats, np.nan))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(AllPartitionsFailed) as failed:
+                average_log_eta(model, data, parts, variant)
+        assert failed.value.n_partitions == 4
 
     def test_far_anchor_partitions_fail_without_abort(self):
         # the point a bnasc fit of synth seed 12 reaches: in partition 5 an

@@ -303,44 +303,21 @@ class TestBatchAxis:
 
 
 class TestGaussianDistValidation:
-    def test_asymmetric_covariance_rejected(self):
-        cov = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(ValueError):
-            GaussianDist.from_moments(np.zeros(2), cov)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianDist.from_moments(np.zeros(2), np.eye(3))
-
     def test_indefinite_covariance_raises_singular(self):
         cov = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(SingularCovariance):
             GaussianDist.from_moments(np.zeros(2), cov)
 
-    def test_asymmetry_within_tolerance_is_symmetrized(self):
-        cov = random_spd(np.random.default_rng(2), 3)
-        cov[0, 1] += 1e-12
-        d = GaussianDist.from_moments(np.zeros(3), cov)
-        np.testing.assert_array_equal(d.cov, 0.5 * (cov + cov.T))
-        np.testing.assert_array_equal(d.chol, np.linalg.cholesky(0.5 * (cov + cov.T)))
-
     def test_symmetric_covariance_factored_as_given(self):
         cov = random_spd(np.random.default_rng(3), 5)
         cov = np.tril(cov) + np.tril(cov, -1).T  # bit-symmetric
-        d = GaussianDist.from_moments(np.zeros(5), cov)
-        np.testing.assert_array_equal(d.cov, cov)
-        np.testing.assert_array_equal(d.chol, np.linalg.cholesky(cov))
-
-    def test_chol_reconstructs_cov(self):
-        rng = np.random.default_rng(1)
-        cov = random_spd(rng, 4)
-        d = GaussianDist.from_moments(np.zeros(4), cov)
-        np.testing.assert_allclose(d.chol @ d.chol.T, d.cov, rtol=1e-8)
-        assert np.all(np.diag(d.chol) > 0)
+        mean = np.arange(5.0)
+        d = GaussianDist.from_moments(mean, cov)
+        assert d.mean is mean and d.cov is cov
 
     def test_near_singular_rescued_by_jitter(self):
-        # rank-1 plus a sliver of diagonal: jitter ladder should rescue it
-        v = np.array([1.0, 1.0])
-        cov = np.outer(v, v) + 1e-9 * np.eye(2)
+        # rank 1, so it does not factor as given: the ladder's first rung,
+        # 1e-10 times the mean diagonal entry, rescues it
+        cov = np.ones((2, 2))
         d = GaussianDist.from_moments(np.zeros(2), cov)
-        assert np.all(np.diag(d.chol) > 0)
+        np.testing.assert_array_equal(d.cov, cov + 1e-10 * np.eye(2))

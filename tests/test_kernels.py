@@ -301,6 +301,21 @@ class TestSpecValidation:
         spec = KernelSpec.create("se", **{**values, name: 1e150})  # its square, 1e300, is finite
         assert spec.named_params()[name] == pytest.approx(1e150)
 
+    @pytest.mark.parametrize(
+        "structure,name,value",
+        [("se", "lengthscale", 1e-200), ("per", "period", 1e-320), ("per", "lengthscale", 1e-160)],
+    )
+    def test_value_whose_square_underflows_rejected(self, structure, name, value):
+        # the Gram divides by lengthscale^2, and the periodic angle by the period
+        values = {"lengthscale": 1.0, "signal": 1.0, "noise": 0.1, "period": 3.0}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"'{name}'.*squared"):
+                KernelSpec.create(structure, **{**values, name: value})
+        assert not caught
+        spec = KernelSpec.create(structure, **{**values, name: 1e-150})  # its square, 1e-300, is normal
+        assert spec.named_params()[name] == pytest.approx(1e-150)
+
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
             KernelSpec.create("se", lengthscale=-1.0, signal=1.0, noise=0.1)
