@@ -1,5 +1,10 @@
 """Gaussian-process regression with evidence, cross-validation and
-posterior-agreement model selection."""
+posterior-agreement model selection.
+
+The root exports what a caller builds an experiment from; engine stages are
+imported from their home modules. ``log_evidence`` (the benchmark's tracer
+test reads it here) and its LOO twin ``loo_cv_objective`` stay too.
+"""
 
 from .criteria import (
     AscConfig,
@@ -19,17 +24,9 @@ from .errors import (
     SchemaError,
     SingularCovariance,
 )
-from .gaussian import log_product_integral, maxent_linear_map_posterior
-from .harness import (
-    ExperimentConfig,
-    aggregate_ranks,
-    load_csv_dataset,
-    rank_students,
-    run_ranking,
-    sample_synthetic,
-)
-from .kernels import KernelSpec, KernelStructure, kernel_matrix, noisy_kernel_matrix
-from .optimize import FitConfig, OptResult, evaluate_criterion, finite_diff_gradient, optimize
+from .harness import ExperimentConfig, load_csv_dataset, run_ranking, sample_synthetic
+from .kernels import KernelSpec, KernelStructure, kernel_matrix
+from .optimize import FitConfig, OptResult, optimize
 from .regression import Dataset, log_evidence, loo_cv_objective, msll, predict
 
 __all__ = [
@@ -51,21 +48,14 @@ __all__ = [
     "Partitions",
     "SchemaError",
     "SingularCovariance",
-    "aggregate_ranks",
     "average_log_eta",
-    "evaluate_criterion",
-    "finite_diff_gradient",
     "kernel_matrix",
     "load_csv_dataset",
     "log_evidence",
-    "log_product_integral",
     "loo_cv_objective",
-    "maxent_linear_map_posterior",
     "msll",
-    "noisy_kernel_matrix",
     "optimize",
     "predict",
-    "rank_students",
     "run_ranking",
     "sample_partitions",
     "sample_synthetic",

@@ -61,8 +61,9 @@ def _fit_config(args, criterion) -> FitConfig:
         raise UsageError(str(err)) from err
 
 
-def _check_out(*paths) -> None:
-    """Fail before any work is done if an output could not be written to one of ``paths``."""
+def _check_out(*paths, inputs=()) -> None:
+    """Fail before any work if an output could not be written to one of ``paths`` or is one of ``inputs``."""
+    read = [Path(path) for path in inputs if path is not None and Path(path).is_file()]
     for path in paths:
         if path is None:
             continue
@@ -71,6 +72,8 @@ def _check_out(*paths) -> None:
             raise UsageError(f"cannot write {path}: {parent} is not a writable directory")
         if Path(path).is_dir():
             raise UsageError(f"cannot write {path}: it is a directory")
+        if Path(path).is_file() and any(Path(path).samefile(other) for other in read):
+            raise UsageError(f"cannot write {path}: it is one of the command's input files")
 
 
 def _resolve_seed(seed) -> int:
@@ -130,7 +133,7 @@ def cmd_synth(args) -> int:
 
 def cmd_fit(args) -> int:
     seed = _resolve_seed(args.seed)
-    _check_out(args.out)
+    _check_out(args.out, inputs=(args.train,))
     fit = _fit_config(args, args.criterion)
     train = _load(args.train, _split_csv_list(args.input_cols), args.output_col)
     template = kernel_template(args.kernel)
@@ -186,7 +189,7 @@ def cmd_rank(args) -> int:
     out = Path(args.out)
     json_path = out.with_suffix(".json")
     csv_path = out.with_suffix(".csv")
-    _check_out(json_path, csv_path)
+    _check_out(json_path, csv_path, inputs=(args.data,))
     # ExperimentConfig requires exactly one of the two
     data = None if args.data is None else _load(args.data, _split_csv_list(args.input_cols), args.output_col)
     teacher = None if args.teacher_kernel is None else _teacher_from_flags(args, args.teacher_kernel)
@@ -217,11 +220,12 @@ def cmd_rank(args) -> int:
 def cmd_eval(args) -> int:
     if (args.model is None) == (not args.trivial):
         raise UsageError("give exactly one of --model or --trivial")
-    _check_out(args.out)
+    _check_out(args.out, inputs=(args.model, args.train, args.test))
     input_cols = _split_csv_list(args.input_cols)
     if args.trivial:
-        train = _load(args.train, input_cols, args.output_col)
-        test = _load(args.test, input_cols, args.output_col)
+        output_col = args.output_col or "y"
+        train = _load(args.train, input_cols, output_col)
+        test = _load(args.test, input_cols, output_col)
         base_mean, base_var = float(np.mean(train.y)), float(np.var(train.y))
         predictive = np.full(test.n, base_mean), np.full(test.n, base_var)
         model_desc = "trivial"
@@ -244,10 +248,14 @@ def cmd_eval(args) -> int:
             input_cols = recorded
         elif recorded is not None and input_cols != recorded:
             raise UsageError(f"--input-cols {input_cols} differ from the model's input columns {recorded}")
+        recorded = fitted.get("output_column")
+        output_col = args.output_col or recorded or "y"
+        if recorded is not None and output_col != recorded:
+            raise UsageError(f"--output-col {output_col!r} differs from the model's output column {recorded!r}")
         std = fitted.get("input_standardization") or {}
         shift, scale = std.get("shift"), std.get("scale")
-        train = _load(args.train, input_cols, args.output_col, shift=shift, scale=scale)
-        test = _load(args.test, input_cols, args.output_col, shift=shift, scale=scale)
+        train = _load(args.train, input_cols, output_col, shift=shift, scale=scale)
+        test = _load(args.test, input_cols, output_col, shift=shift, scale=scale)
         if train.dim != test.dim:
             raise UsageError(f"{args.train} has {train.dim} input columns but {args.test} has {test.dim}")
         predictive = predict(kernel, train, test.X)
@@ -269,8 +277,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _add_teacher_flags(parser, kernel_flag: str):
-    parser.add_argument(kernel_flag, choices=_KERNEL_CHOICES, default=None)
+def _add_teacher_flags(parser, kernel_flag: str, required: bool):
+    parser.add_argument(kernel_flag, choices=_KERNEL_CHOICES, required=required)
     parser.add_argument("--ell", type=float, default=1.0, help="lengthscale")
     parser.add_argument("--sf", type=float, default=1.0, help="signal std")
     parser.add_argument("--sn", type=float, default=0.1, help="noise std")
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="draw a teacher dataset to CSV files")
-    _add_teacher_flags(p, "--kernel")
+    _add_teacher_flags(p, "--kernel", required=True)
     p.add_argument("--n-train", type=int, default=64)
     p.add_argument("--n-test", type=int, default=256)
     p.add_argument("--seed", type=int, default=None)
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("rank", help="teacher-student or real-data kernel ranking")
-    _add_teacher_flags(p, "--teacher-kernel")
+    _add_teacher_flags(p, "--teacher-kernel", required=False)
     p.add_argument("--data", default=None, help="real dataset CSV")
     p.add_argument("--input-cols", default=None)
     p.add_argument("--output-col", default="y")
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--input-cols", default=None)
-    p.add_argument("--output-col", default="y")
+    p.add_argument("--output-col", default=None, help="default: the model's, or y with --trivial")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_eval)
 

@@ -328,7 +328,8 @@ def load_csv_dataset(path, input_columns, output_column, *, shift=None, scale=No
     rows_x: list[list[float]] = []
     rows_y: list[float] = []
     skipped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise prefix the first column's name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         repeated = sorted({c for c in fields if fields.count(c) > 1})

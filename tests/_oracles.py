@@ -14,7 +14,8 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
-from gpselect import Dataset, KernelSpec, KernelStructure, kernel_matrix, noisy_kernel_matrix
+from gpselect import Dataset, KernelSpec, KernelStructure, kernel_matrix
+from gpselect.kernels import noisy_kernel_matrix
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 

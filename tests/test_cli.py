@@ -87,6 +87,11 @@ class TestSynth:
         assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_kernel_is_required(self, tmp_path, capsys):
+        assert main(["synth", "--seed", "1", "--out", str(tmp_path / "d.csv")]) == 2
+        assert "--kernel" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_deterministic_bytes(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -415,6 +420,38 @@ def test_unwritable_out_exits_2_before_any_work(synth_files, tmp_path, monkeypat
     assert "is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spelling", ["relative", "hard link"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [("fit", "--train"), ("rank", "--data"), ("eval", "--model"), ("eval", "--train"), ("eval", "--test")],
+)
+def test_output_that_is_an_input_exits_2_and_leaves_it_unchanged(
+    synth_files, tmp_path, capsys, command, flag, spelling
+):
+    train, test = synth_files
+    model = tmp_path / "fit.json"
+    fit = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence", "--restarts", "1"]
+    assert main([*fit, "--seed", "2", "--out", str(model)]) == 0
+    argv = {
+        "fit": fit,
+        "rank": ["rank", "--data", str(train), "--students", "se", "--criteria", "evidence",
+                 "--n-train", "8", "--n-test", "4", "--replicates", "1"],
+        "eval": ["eval", "--model", str(model), "--train", str(train), "--test", str(test)],
+    }[command]
+    target = Path(argv[argv.index(flag) + 1])
+    before = target.read_bytes()
+    if spelling == "relative":
+        alias = target.parent / ".." / target.parent.name / target.name
+    else:
+        alias = target.with_name("alias" + target.suffix)
+        os.link(target, alias)
+    # rank writes <out>.json and <out>.csv
+    out = alias.with_suffix("") if command == "rank" else alias
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert target.read_bytes() == before
+
+
 @pytest.mark.parametrize("command", ["fit", "rank", "eval"])
 @pytest.mark.parametrize(
     "columns,message",
@@ -536,6 +573,22 @@ class TestEval:
         assert evals["recorded"] == evals["same"]
         model = ["eval", "--model", str(tmp_path / "fit.json"), *files]
         assert main([*model, "--input-cols", "x1,x2"]) == 2
+
+    def test_model_reads_the_output_column_it_was_fitted_on(self, synth_files, tmp_path, capsys):
+        train, test = synth_files
+        fit_path = tmp_path / "fit.json"
+        fit = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence", "--restarts", "1"]
+        assert main([*fit, "--seed", "2", "--output-col", "x1", "--out", str(fit_path)]) == 0
+        model = ["eval", "--model", str(fit_path), "--train", str(train), "--test", str(test)]
+        evals = {}
+        for label, col in (("recorded", []), ("same", ["--output-col", "x1"])):
+            out = tmp_path / f"eval_{label}.json"
+            assert main([*model, *col, "--out", str(out)]) == 0
+            evals[label] = json.loads(out.read_text())["msll"]
+        assert evals["recorded"] == evals["same"]
+        capsys.readouterr()
+        assert main([*model, "--output-col", "y"]) == 2
+        assert "differs from the model's output column" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "dropped", [("input_columns",), ("input_columns", "input_standardization")], ids=["columns", "both"]

@@ -30,12 +30,12 @@ from gpselect import (
     Partitions,
     average_log_eta,
     kernel_matrix,
-    maxent_linear_map_posterior,
-    noisy_kernel_matrix,
     sample_partitions,
     sample_synthetic,
 )
 from gpselect import criteria
+from gpselect.gaussian import maxent_linear_map_posterior
+from gpselect.kernels import noisy_kernel_matrix
 
 
 ASC_CRITERIA = [c for c in Criterion if c.is_asc]

@@ -11,8 +11,8 @@ from _oracles import (
     normal_logpdf,
     random_spd,
 )
-from gpselect import SingularCovariance, log_product_integral, maxent_linear_map_posterior
-from gpselect.gaussian import GaussianDist, chol_spd
+from gpselect import SingularCovariance
+from gpselect.gaussian import GaussianDist, chol_spd, log_product_integral, maxent_linear_map_posterior
 
 LOG_2PI = math.log(2.0 * math.pi)
 

@@ -19,14 +19,12 @@ from gpselect import (
     KernelSpec,
     OptimizationFailed,
     SchemaError,
-    aggregate_ranks,
     load_csv_dataset,
-    rank_students,
     run_ranking,
     sample_synthetic,
 )
 from gpselect.criteria import derived_seed
-from gpselect.harness import _midranks, sample_function_values
+from gpselect.harness import _midranks, aggregate_ranks, rank_students, sample_function_values
 
 harness_module = importlib.import_module("gpselect.harness")
 
@@ -387,6 +385,18 @@ class TestLoadCsv:
         data = load_csv_dataset(path, None, "y")
         assert data.meta["input_columns"] == ["b", "a"]
         np.testing.assert_array_equal(data.y, [2.0, 5.0])
+
+    @pytest.mark.parametrize("inputs", [None, ["x1"]], ids=["default", "named"])
+    def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path, inputs):
+        plain = self.write(tmp_path, "x1,y\n" + "".join(f"{0.3 * i},{np.sin(i)}\n" for i in range(8)))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = (load_csv_dataset(path, inputs, "y") for path in (plain, marked))
+        np.testing.assert_array_equal(a.X, b.X)
+        np.testing.assert_array_equal(a.y, b.y)
+        assert a.meta["input_columns"] == ["x1"]
+        assert a.meta.pop("source") != b.meta.pop("source")
+        assert a.meta == b.meta
 
     def test_all_rows_bad_raises(self, tmp_path):
         path = self.write(tmp_path, "a,y\nx,2\nz,4\n")

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from _oracles import closed_form_kernel, gram_partials_oracle, old_noise_accepted, old_params_accepted
-from gpselect import Dataset, KernelSpec, KernelStructure, kernel_matrix, log_evidence, noisy_kernel_matrix
-from gpselect.kernels import PARAM_NAMES, gram_and_partials, pairwise_sq_dists
+from gpselect import Dataset, KernelSpec, KernelStructure, kernel_matrix, log_evidence
+from gpselect.kernels import PARAM_NAMES, gram_and_partials, noisy_kernel_matrix, pairwise_sq_dists
 
 ALL_STRUCTURES = [s.value for s in KernelStructure]
 

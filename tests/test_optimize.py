@@ -13,15 +13,13 @@ from gpselect import (
     KernelSpec,
     OptimizationFailed,
     SingularCovariance,
-    evaluate_criterion,
-    finite_diff_gradient,
     log_evidence,
     optimize,
     sample_partitions,
 )
 from gpselect.criteria import derived_seed
 from gpselect.harness import kernel_template, sample_synthetic
-from gpselect.optimize import lbfgs_minimize
+from gpselect.optimize import evaluate_criterion, finite_diff_gradient, lbfgs_minimize
 
 optimize_module = importlib.import_module("gpselect.optimize")
 regression_module = importlib.import_module("gpselect.regression")

@@ -18,17 +18,17 @@ from gpselect import (
     DegenerateBaseline,
     KernelSpec,
     KernelStructure,
-    finite_diff_gradient,
     kernel_matrix,
     log_evidence,
     loo_cv_objective,
     msll,
-    noisy_kernel_matrix,
     predict,
 )
 from scipy.linalg import solve_triangular
 
 from gpselect.gaussian import chol_spd
+from gpselect.kernels import noisy_kernel_matrix
+from gpselect.optimize import finite_diff_gradient
 from gpselect.regression import log_evidence_and_grad, loo_cv_and_grad
 
 LOG_2PI = math.log(2.0 * math.pi)
