@@ -84,12 +84,12 @@ def _resolve_seed(seed) -> int:
     return int(seed)
 
 
-def _split_csv_list(raw: str | None) -> list[str] | None:
+def _split_csv_list(raw: str | None, flag: str) -> list[str] | None:
     if raw is None:
         return None
     items = [part.strip() for part in raw.split(",") if part.strip()]
     if not items:
-        raise UsageError("empty column list")
+        raise UsageError(f"{flag} is empty")
     return items
 
 
@@ -135,7 +135,7 @@ def cmd_fit(args) -> int:
     seed = _resolve_seed(args.seed)
     _check_out(args.out, inputs=(args.train,))
     fit = _fit_config(args, args.criterion)
-    train = _load(args.train, _split_csv_list(args.input_cols), args.output_col)
+    train = _load(args.train, _split_csv_list(args.input_cols, "--input-cols"), args.output_col)
     template = kernel_template(args.kernel)
     report = {
         "command": "fit",
@@ -157,29 +157,28 @@ def cmd_fit(args) -> int:
     }
     try:
         result = optimize(fit, template, train, seed)
+        fitted = template.with_theta(result.theta)
+        report.update(
+            {
+                "theta_log": [float(v) for v in result.theta],
+                "params": fitted.named_params(),
+                "kernel_spec": {
+                    "structure": fitted.structure.value,
+                    "log_params": [float(v) for v in fitted.log_params],
+                    "log_noise": float(fitted.log_noise),
+                },
+                "objective_value": result.objective_value,
+                "converged": result.converged,
+                "failed_partition_fraction": result.failed_partition_fraction,
+            }
+        )
     except OptimizationFailed as err:
         report["error"] = str(err)
-        if args.out:
-            write_report(report, args.out)
-        print(f"optimization failed: {err}", file=sys.stderr)
-        return 3
-    fitted = template.with_theta(result.theta)
-    report.update(
-        {
-            "theta_log": [float(v) for v in result.theta],
-            "params": fitted.named_params(),
-            "kernel_spec": {
-                "structure": fitted.structure.value,
-                "log_params": [float(v) for v in fitted.log_params],
-                "log_noise": float(fitted.log_noise),
-            },
-            "objective_value": result.objective_value,
-            "converged": result.converged,
-            "failed_partition_fraction": result.failed_partition_fraction,
-        }
-    )
     if args.out:
         write_report(report, args.out)
+    if "error" in report:
+        print(f"optimization failed: {report['error']}", file=sys.stderr)
+        return 3
     print(json.dumps({"criterion": fit.criterion.value, "objective_value": result.objective_value}))
     return 0
 
@@ -191,12 +190,13 @@ def cmd_rank(args) -> int:
     csv_path = out.with_suffix(".csv")
     _check_out(json_path, csv_path, inputs=(args.data,))
     # ExperimentConfig requires exactly one of the two
-    data = None if args.data is None else _load(args.data, _split_csv_list(args.input_cols), args.output_col)
+    input_cols = _split_csv_list(args.input_cols, "--input-cols")
+    data = None if args.data is None else _load(args.data, input_cols, args.output_col)
     teacher = None if args.teacher_kernel is None else _teacher_from_flags(args, args.teacher_kernel)
     try:
         cfg = ExperimentConfig(
-            students=tuple(_split_csv_list(args.students)),
-            criteria=tuple(_split_csv_list(args.criteria)),
+            students=tuple(_split_csv_list(args.students, "--students")),
+            criteria=tuple(_split_csv_list(args.criteria, "--criteria")),
             replicates=args.replicates,
             n_train=args.n_train,
             n_test=args.n_test,
@@ -221,26 +221,16 @@ def cmd_eval(args) -> int:
     if (args.model is None) == (not args.trivial):
         raise UsageError("give exactly one of --model or --trivial")
     _check_out(args.out, inputs=(args.model, args.train, args.test))
-    input_cols = _split_csv_list(args.input_cols)
-    if args.trivial:
-        output_col = args.output_col or "y"
-        train = _load(args.train, input_cols, output_col)
-        test = _load(args.test, input_cols, output_col)
-        base_mean, base_var = float(np.mean(train.y)), float(np.var(train.y))
-        predictive = np.full(test.n, base_mean), np.full(test.n, base_var)
-        model_desc = "trivial"
-    else:
+    input_cols = _split_csv_list(args.input_cols, "--input-cols")
+    output_col = args.output_col or "y"
+    std = {}
+    if not args.trivial:
         if not Path(args.model).is_file():
             raise UsageError(f"file not found: {args.model}")
         try:
             with open(args.model, encoding="utf-8") as fh:
                 fitted = json.load(fh)
-            spec = fitted["kernel_spec"]
-            kernel = KernelSpec(
-                KernelStructure(spec["structure"]),
-                np.asarray(spec["log_params"], dtype=float),
-                float(spec["log_noise"]),
-            )
+            kernel = KernelSpec(**fitted["kernel_spec"])
         except (KeyError, TypeError, ValueError) as err:
             raise UsageError(f"{args.model} does not contain a valid fitted kernel: {err}") from err
         recorded = fitted.get("input_columns")
@@ -253,20 +243,20 @@ def cmd_eval(args) -> int:
         if recorded is not None and output_col != recorded:
             raise UsageError(f"--output-col {output_col!r} differs from the model's output column {recorded!r}")
         std = fitted.get("input_standardization") or {}
-        shift, scale = std.get("shift"), std.get("scale")
-        train = _load(args.train, input_cols, output_col, shift=shift, scale=scale)
-        test = _load(args.test, input_cols, output_col, shift=shift, scale=scale)
-        if train.dim != test.dim:
-            raise UsageError(f"{args.train} has {train.dim} input columns but {args.test} has {test.dim}")
+    # the test inputs go through the training file's transform, whether recorded or computed here
+    train = _load(args.train, input_cols, output_col, shift=std.get("shift"), scale=std.get("scale"))
+    test = _load(args.test, input_cols, output_col, shift=train.meta["input_shift"], scale=train.meta["input_scale"])
+    if args.trivial:
+        predictive = np.full(test.n, float(np.mean(train.y))), np.full(test.n, float(np.var(train.y)))
+    else:
         predictive = predict(kernel, train, test.X)
-        model_desc = str(args.model)
     value = msll(*predictive, test.y, train.y)
     print(repr(value))
     if args.out:
         write_report(
             {
                 "command": "eval",
-                "model": model_desc,
+                "model": args.model or "trivial",
                 "msll": value,
                 "n_train": train.n,
                 "n_test": test.n,
@@ -332,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("eval", help="mean standardized log loss of a fitted model")
-    p.add_argument("--model", default=None, help="fit report JSON")
-    p.add_argument("--trivial", action="store_true", help="score the trivial baseline")
+    test_read = "; --test is read with --train's columns and input transform"
+    p.add_argument("--model", default=None, help="fit report JSON; its columns and transform read --train" + test_read)
+    p.add_argument("--trivial", action="store_true", help="score the trivial baseline" + test_read)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--input-cols", default=None)

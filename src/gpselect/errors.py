@@ -51,8 +51,8 @@ class OptimizationFailed(GpSelectError):
 
 class SchemaError(GpSelectError):
     """An input file's columns do not fit the request: its header names a column
-    twice, no input column is left, a requested column is missing, an input
-    repeats or is the output, or a given transform's width is not the inputs'."""
+    twice, no input is left, a requested column is missing, an input repeats or
+    is the output, or a given input transform is half, malformed or of another width."""
 
 
 class EmptyData(GpSelectError):

@@ -321,10 +321,22 @@ def load_csv_dataset(path, input_columns, output_column, *, shift=None, scale=No
     Rows with missing or non-numeric requested fields are skipped and counted.
     Inputs are shifted/scaled to zero mean and unit variance per dimension
     (columns with zero spread pass through unscaled); outputs stay raw. The
-    affine transform and skip count land in the dataset metadata. Passing
-    ``shift``/``scale`` applies that transform instead of computing one, so a
-    test set can reuse its training set's standardization.
+    affine transform and skip count land in the dataset metadata. A given
+    ``shift`` and ``scale`` are applied instead, as ``eval`` reads a test file
+    with its training file's column choice and transform. SchemaError if only
+    one is given, an entry is not a finite number, a scale is not positive, or
+    their width is not the inputs'.
     """
+    if (shift is None) != (scale is None):
+        raise SchemaError(f"input transform for {path} gives {'scale' if shift is None else 'shift'} alone")
+    if shift is not None:
+        try:
+            shift, scale = (np.asarray(v, dtype=float).reshape(-1) for v in (shift, scale))
+        except (TypeError, ValueError) as err:
+            raise SchemaError(f"input transform for {path} is not numeric: {err}") from err
+        if not (np.all(np.isfinite(shift)) and np.all(np.isfinite(scale)) and np.all(scale > 0)):
+            raise SchemaError(f"input transform for {path} needs finite shifts and positive finite scales, "
+                              f"got shift {shift.tolist()} and scale {scale.tolist()}")
     rows_x: list[list[float]] = []
     rows_y: list[float] = []
     skipped = 0
@@ -362,17 +374,13 @@ def load_csv_dataset(path, input_columns, output_column, *, shift=None, scale=No
     if not rows_y:
         raise EmptyData(f"no usable rows in {path} ({skipped} skipped)")
     raw = np.asarray(rows_x, dtype=float).T  # (D, N)
-    if shift is None or scale is None:
+    if shift is None:
         shift = raw.mean(axis=1)
         scale = raw.std(axis=1)
         scale[scale == 0.0] = 1.0
-    else:
-        shift = np.asarray(shift, dtype=float).reshape(-1)
-        scale = np.asarray(scale, dtype=float).reshape(-1)
-        if shift.size != raw.shape[0] or scale.size != raw.shape[0]:
-            raise SchemaError(
-                f"standardization transform has {shift.size} dims, data has {raw.shape[0]}"
-            )
+    elif shift.size != raw.shape[0] or scale.size != raw.shape[0]:
+        raise SchemaError(f"{path} has {raw.shape[0]} input columns, but the input transform has "
+                          f"{shift.size} shifts and {scale.size} scales")
     standardized = (raw - shift[:, None]) / scale[:, None]
     meta = {
         "input_shift": shift.tolist(),

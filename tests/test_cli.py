@@ -10,6 +10,7 @@ import pytest
 
 import gpselect
 from gpselect.cli import main
+from gpselect.errors import OptimizationFailed, SingularCovariance
 
 
 def run_synth(tmp_path, seed=3, n_train=16, n_test=6, extra=()):
@@ -76,6 +77,8 @@ class TestSynth:
             ["--ell", "1e-200"],
             ["--kernel", "per", "--period", "1e-320"],
             ["--kernel", "per", "--period", "3", "--ell", "1e-160"],
+            ["--n-train", "0"],
+            ["--n-test", "-1"],
         ],
     )
     def test_invalid_teacher_flags_exit_2_without_files(self, tmp_path, capsys, extra):
@@ -247,6 +250,23 @@ class TestFit:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_all_restarts_failing_exits_3_and_reports_the_error(self, synth_files, tmp_path, monkeypatch, capsys):
+        def failed(*args, **kwargs):
+            raise OptimizationFailed("no restart produced a finite objective")
+
+        monkeypatch.setattr(sys.modules["gpselect.cli"], "optimize", failed)
+        train, _ = synth_files
+        out = tmp_path / "fit.json"
+        argv = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence", "--out", str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("optimization failed: no restart")
+        assert captured.out == ""
+        report = json.loads(out.read_text())
+        assert report["error"] == "no restart produced a finite objective"
+        assert "theta_log" not in report and "kernel_spec" not in report
+        assert report["input_columns"] == ["x1"]
+
 
 class TestRank:
     def rank_args(self, tmp_path, seed=4):
@@ -329,6 +349,16 @@ class TestRank:
         assert main(args + ["--out", str(tmp_path / "r")]) == 2
         assert not (tmp_path / "r.json").exists()
 
+    def test_every_replicate_failing_exits_3_without_files(self, tmp_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise SingularCovariance("prior covariance")
+
+        # every teacher draw fails, so no replicate is left to rank
+        monkeypatch.setattr(sys.modules["gpselect.harness"], "chol_spd", singular)
+        assert main(self.rank_args(tmp_path)) == 3
+        assert capsys.readouterr().err == "error: all 2 replicates failed\n"
+        assert not list(tmp_path.iterdir())
+
     def test_requires_teacher_or_data(self, tmp_path):
         code = main(["rank", "--out", str(tmp_path / "r")])
         assert code == 2
@@ -387,6 +417,23 @@ def test_negative_seed_exits_2_without_output(synth_files, tmp_path, capsys, com
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("rank", "--students"), ("rank", "--criteria"), ("fit", "--input-cols"), ("rank", "--input-cols"),
+     ("eval", "--input-cols")],
+)
+def test_empty_list_flag_is_named_in_the_error(synth_files, tmp_path, capsys, command, flag):
+    train, test = synth_files
+    argv = {
+        "fit": ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence"],
+        "rank": ["rank", "--data", str(train), "--n-train", "8", "--n-test", "4", "--replicates", "1"],
+        "eval": ["eval", "--trivial", "--train", str(train), "--test", str(test)],
+    }[command]
+    assert main([*argv, flag, " , ", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {flag} is empty\n"
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("command", ["synth", "fit", "rank", "eval"])
@@ -615,6 +662,76 @@ class TestEval:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "numerical failure" not in err
             assert not out.exists()
+
+    @staticmethod
+    def fit_model(train, path, seed="2"):
+        fit = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence", "--restarts", "1"]
+        assert main([*fit, "--seed", seed, "--out", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    def test_trivial_on_files_of_other_widths_exits_2(self, synth_files, tmp_path, capsys):
+        train, _ = synth_files
+        wide = tmp_path / "wide.csv"
+        rows = [line.split(",") for line in train.read_text().splitlines()[1:]]
+        wide.write_text("x1,x2,y\n" + "".join(f"{x},0.5,{y}\n" for x, y in rows))
+        out = tmp_path / "eval.json"
+        for first, second in ((train, wide), (wide, train)):
+            assert main(["eval", "--trivial", "--train", str(first), "--test", str(second), "--out", str(out)]) == 2
+            assert f"{second} has {2 if second == wide else 1} input columns" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "standardization,message",
+        [
+            ({"shift": [0.5], "scale": None}, "gives shift alone"),
+            ({"scale": [2.0]}, "gives scale alone"),
+            ({"shift": ["a"], "scale": [2.0]}, "not numeric"),
+            ({"shift": [0.5], "scale": {"x1": 2.0}}, "not numeric"),
+            ({"shift": [None], "scale": [2.0]}, "needs finite shifts"),
+            ({"shift": [float("nan")], "scale": [2.0]}, "needs finite shifts"),
+            ({"shift": [0.5], "scale": [float("inf")]}, "needs finite shifts"),
+            ({"shift": [0.5], "scale": [0.0]}, "positive finite scales"),
+            ({"shift": [0.5], "scale": [-2.0]}, "positive finite scales"),
+            ({"shift": [0.5, 0.5], "scale": [2.0, 2.0]}, "has 1 input columns, but the input transform has 2 shifts"),
+            ({"shift": [0.5], "scale": []}, "has 1 input columns, but the input transform has 1 shifts and 0 scales"),
+        ],
+        ids=["shift alone", "scale alone", "string", "mapping", "null", "nan", "inf", "zero scale", "negative scale",
+             "too wide", "empty scale"],
+    )
+    def test_recorded_transform_used_whole_or_refused(self, synth_files, tmp_path, capsys, standardization, message):
+        train, test = synth_files
+        fit_path = tmp_path / "fit.json"
+        report = self.fit_model(train, fit_path)
+        report["input_standardization"] = standardization
+        fit_path.write_text(json.dumps(report))
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--model", str(fit_path), "--train", str(train), "--test", str(test), "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert f"for {train}" in err or f"{train} has" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_model_without_recorded_transform_scores_as_the_full_model(self, tmp_path):
+        code, train, test = run_synth(tmp_path, seed=5, n_train=32, n_test=64)
+        assert code == 0
+        # test inputs all above 5: their own mean and spread are not the training file's
+        lines = test.read_text().splitlines()
+        far = tmp_path / "far.csv"
+        far.write_text("\n".join([lines[0], *(line for line in lines[1:] if float(line.split(",")[0]) > 5)]) + "\n")
+        report = self.fit_model(train, tmp_path / "full.json", seed="0")
+        del report["input_standardization"]
+        (tmp_path / "stripped.json").write_text(json.dumps(report))
+        msll = {}
+        for name in ("full", "stripped"):
+            out = tmp_path / f"eval_{name}.json"
+            argv = ["eval", "--model", str(tmp_path / f"{name}.json"), "--train", str(train), "--test", str(far)]
+            assert main([*argv, "--out", str(out)]) == 0
+            msll[name] = json.loads(out.read_text())["msll"]
+        assert msll["stripped"] == msll["full"]
 
     def test_missing_test_file_exits_2(self, synth_files, tmp_path):
         train, _ = synth_files

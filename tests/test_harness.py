@@ -19,6 +19,7 @@ from gpselect import (
     KernelSpec,
     OptimizationFailed,
     SchemaError,
+    SingularCovariance,
     load_csv_dataset,
     run_ranking,
     sample_synthetic,
@@ -281,6 +282,37 @@ class TestRunRanking:
             "seed": 7,
             "restarts": 1,
         }
+
+    @pytest.mark.parametrize("column", ["loo", "msll"])
+    def test_score_that_raises_is_nan_and_ranks_worst(self, monkeypatch, column):
+        cfg = tiny_config()
+        full = run_ranking(cfg)
+        # the exp student's score in one column raises; predict feeds only the msll column
+        real_predict, real_evaluate = harness_module.predict, harness_module.evaluate_criterion
+
+        def predict(kernel, *args):
+            if column == "msll" and kernel.structure.value == "exp":
+                raise SingularCovariance("forced")
+            return real_predict(kernel, *args)
+
+        def evaluate_criterion(crit, kernel, *args):
+            if crit.value == column and kernel.structure.value == "exp":
+                raise SingularCovariance("forced")
+            return real_evaluate(crit, kernel, *args)
+
+        monkeypatch.setattr(harness_module, "predict", predict)
+        monkeypatch.setattr(harness_module, "evaluate_criterion", evaluate_criterion)
+        report = run_ranking(cfg)
+        assert report["failed_replicates"] == 0
+        for before, after in zip(full["replicates"], report["replicates"], strict=True):
+            assert np.isnan(after["scores"][column]["exp"])
+            assert after["scores"][column]["se"] == before["scores"][column]["se"]
+            assert after["ranks"][column] == {"se": 1.0, "exp": 2.0}
+            for col in cfg.columns:
+                if col != column:
+                    assert after["scores"][col] == before["scores"][col]
+                    assert after["ranks"][col] == before["ranks"][col]
+            assert after["theta"] == before["theta"]
 
 
 def _fail_one_fit(monkeypatch, cfg, replicate, student, error):
