@@ -234,15 +234,21 @@ def cmd_eval(args) -> int:
         except (KeyError, TypeError, ValueError) as err:
             raise UsageError(f"{args.model} does not contain a valid fitted kernel: {err}") from err
         recorded = fitted.get("input_columns")
+        if not (recorded is None or isinstance(recorded, list) and all(isinstance(c, str) for c in recorded)):
+            raise UsageError(f"{args.model}: input_columns must be a list of names or null, got {recorded!r}")
         if input_cols is None:
             input_cols = recorded
         elif recorded is not None and input_cols != recorded:
             raise UsageError(f"--input-cols {input_cols} differ from the model's input columns {recorded}")
         recorded = fitted.get("output_column")
+        if not (recorded is None or isinstance(recorded, str)):
+            raise UsageError(f"{args.model}: output_column must be a column name or null, got {recorded!r}")
         output_col = args.output_col or recorded or "y"
         if recorded is not None and output_col != recorded:
             raise UsageError(f"--output-col {output_col!r} differs from the model's output column {recorded!r}")
-        std = fitted.get("input_standardization") or {}
+        std = fitted.get("input_standardization", {})
+        if not isinstance(std, dict):
+            raise UsageError(f"{args.model}: input_standardization must be an object or absent, got {std!r}")
     # the test inputs go through the training file's transform, whether recorded or computed here
     train = _load(args.train, input_cols, output_col, shift=std.get("shift"), scale=std.get("scale"))
     test = _load(args.test, input_cols, output_col, shift=train.meta["input_shift"], scale=train.meta["input_scale"])

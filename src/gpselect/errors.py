@@ -52,7 +52,7 @@ class OptimizationFailed(GpSelectError):
 class SchemaError(GpSelectError):
     """An input file's columns do not fit the request: its header names a column
     twice, no input is left, a requested column is missing, an input repeats or
-    is the output, or a given input transform is half, malformed or of another width."""
+    is the output, or an input transform overflows or is half, malformed or of another width."""
 
 
 class EmptyData(GpSelectError):

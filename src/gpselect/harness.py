@@ -155,7 +155,7 @@ def _fit_and_score(cfg: ExperimentConfig, train: Dataset, test: Dataset, parts, 
     asc_fracs: dict = {}
     for crit in cfg.criteria:
         try:
-            value, asc = evaluate_criterion(crit, kernel, train, parts)
+            value, _, asc = evaluate_criterion(crit, kernel, train, parts)
         except GpSelectError:
             value, asc = float("nan"), None
         scores[crit.value] = float(value)
@@ -324,8 +324,8 @@ def load_csv_dataset(path, input_columns, output_column, *, shift=None, scale=No
     affine transform and skip count land in the dataset metadata. A given
     ``shift`` and ``scale`` are applied instead, as ``eval`` reads a test file
     with its training file's column choice and transform. SchemaError if only
-    one is given, an entry is not a finite number, a scale is not positive, or
-    their width is not the inputs'.
+    one is given, if their width is not the inputs', or if a shift or scale,
+    given or computed, is not finite or a scale is not positive.
     """
     if (shift is None) != (scale is None):
         raise SchemaError(f"input transform for {path} gives {'scale' if shift is None else 'shift'} alone")
@@ -334,9 +334,6 @@ def load_csv_dataset(path, input_columns, output_column, *, shift=None, scale=No
             shift, scale = (np.asarray(v, dtype=float).reshape(-1) for v in (shift, scale))
         except (TypeError, ValueError) as err:
             raise SchemaError(f"input transform for {path} is not numeric: {err}") from err
-        if not (np.all(np.isfinite(shift)) and np.all(np.isfinite(scale)) and np.all(scale > 0)):
-            raise SchemaError(f"input transform for {path} needs finite shifts and positive finite scales, "
-                              f"got shift {shift.tolist()} and scale {scale.tolist()}")
     rows_x: list[list[float]] = []
     rows_y: list[float] = []
     skipped = 0
@@ -375,12 +372,17 @@ def load_csv_dataset(path, input_columns, output_column, *, shift=None, scale=No
         raise EmptyData(f"no usable rows in {path} ({skipped} skipped)")
     raw = np.asarray(rows_x, dtype=float).T  # (D, N)
     if shift is None:
-        shift = raw.mean(axis=1)
-        scale = raw.std(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
+            shift = raw.mean(axis=1)
+            scale = raw.std(axis=1)
         scale[scale == 0.0] = 1.0
     elif shift.size != raw.shape[0] or scale.size != raw.shape[0]:
         raise SchemaError(f"{path} has {raw.shape[0]} input columns, but the input transform has "
                           f"{shift.size} shifts and {scale.size} scales")
+    bad = [c for c, ok in zip(input_columns, np.isfinite(shift) & np.isfinite(scale) & (scale > 0)) if not ok]
+    if bad:
+        raise SchemaError(f"input transform for {path} needs finite shifts and positive finite scales, got shift "
+                          f"{shift.tolist()} and scale {scale.tolist()}: columns {bad}")
     standardized = (raw - shift[:, None]) / scale[:, None]
     meta = {
         "input_shift": shift.tolist(),

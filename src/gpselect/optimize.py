@@ -1,13 +1,13 @@
 """Quasi-Newton (L-BFGS) maximization of the selection criteria.
 
-``optimize`` fits a kernel under one ``Criterion``. Its objective returns the
-value and a thunk that gives the gradient at the same point, and
-``lbfgs_minimize`` calls the thunk only where the line search needs a slope.
-The evidence and leave-one-out thunks reuse the factorization of the value
-(exact gradients); the agreement criteria's thunk takes central finite
-differences over partitions that ``optimize`` samples once per fit. Failed
-evaluations (singular covariances, all partitions failed) act as an infinite
-penalty that the line search backs away from.
+``optimize`` fits a kernel under one ``Criterion``. Every criterion value comes
+from one seam, ``evaluate_criterion``: the value, and a thunk for the gradient
+at the same point that ``lbfgs_minimize`` calls only where the line search
+needs a slope. The evidence and leave-one-out thunks reuse the factorization
+of the value (exact gradients); an agreement fit takes central finite
+differences over partitions sampled once per fit. Failed evaluations act as an
+infinite penalty that the line search backs away from. A fit's
+``objective_value`` is the value L-BFGS found at its ``theta``.
 """
 
 from __future__ import annotations
@@ -15,19 +15,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .criteria import AscConfig, AscScore, Criterion, average_log_eta, derived_seed, sample_partitions
 from .errors import AllPartitionsFailed, OptimizationFailed, SingularCovariance
 from .kernels import KernelSpec
-from .regression import (
-    Dataset,
-    log_evidence,
-    log_evidence_and_grad,
-    loo_cv_and_grad,
-    loo_cv_objective,
-)
+# log_evidence is unused here but stays bound: perfbench/test_perfbench.py checks this binding
+from .regression import Dataset, log_evidence, log_evidence_and_grad, loo_cv_and_grad  # noqa: F401
 
 _NUMERICAL_FAILURES = (SingularCovariance, AllPartitionsFailed)
 
@@ -78,15 +74,17 @@ def evaluate_criterion(
     kernel: KernelSpec,
     data: Dataset,
     parts=None,
-) -> tuple[float, AscScore | None]:
-    """Raw criterion value at the kernel's current hyperparameters."""
+) -> tuple[float, Callable[[], np.ndarray] | None, AscScore | None]:
+    """``(value, gradient thunk or None, AscScore or None)``: the one seam through
+    which every fit and score computes a criterion. Evidence and LOO give their
+    exact gradient's thunk, an agreement criterion its AscScore over ``parts``."""
     criterion = Criterion(criterion)
     if criterion is Criterion.EVIDENCE:
-        return log_evidence(kernel, data), None
+        return (*log_evidence_and_grad(kernel, data), None)
     if criterion is Criterion.LOO:
-        return loo_cv_objective(kernel, data), None
+        return (*loo_cv_and_grad(kernel, data), None)
     score = average_log_eta(kernel, data, parts, criterion)
-    return score.value, score
+    return score.value, None, score
 
 
 def finite_diff_gradient(f, theta, h_rel: float = 1e-5) -> np.ndarray:
@@ -247,24 +245,17 @@ def optimize(fit: FitConfig, template: KernelSpec, data: Dataset, seed: int) -> 
     sign = -criterion.direction  # minimize sign * value
     dim = template.log_params.size + 1
 
-    # exact gradients where there is a closed form; None: finite differences
-    value_and_grad = {
-        Criterion.EVIDENCE: log_evidence_and_grad,
-        Criterion.LOO: loo_cv_and_grad,
-    }.get(criterion)
-
     def f_min(theta):
         theta = np.asarray(theta, dtype=float)
         if not np.abs(theta).max() <= _THETA_BOUND:  # also NaN
             return np.inf, None
         try:
-            if value_and_grad is not None:
-                value, grad = value_and_grad(template.with_theta(theta), data)
-                return sign * value, lambda: sign * grad()
-            value, _ = evaluate_criterion(criterion, template.with_theta(theta), data, parts)
+            value, grad, _ = evaluate_criterion(criterion, template.with_theta(theta), data, parts)
         except _NUMERICAL_FAILURES:
             return np.inf, None
-        return sign * value, lambda: finite_diff_gradient(lambda t: f_min(t)[0], theta)
+        if grad is None:
+            return sign * value, lambda: finite_diff_gradient(lambda t: f_min(t)[0], theta)
+        return sign * value, lambda: sign * grad()
 
     rng = np.random.default_rng(seed)
     inits = rng.uniform(-2.0, 2.0, size=(fit.restarts, dim))
@@ -277,10 +268,10 @@ def optimize(fit: FitConfig, template: KernelSpec, data: Dataset, seed: int) -> 
             best = result
     if best is None:
         raise OptimizationFailed(f"no finite objective over {fit.restarts} restarts")
-    value, asc = evaluate_criterion(criterion, template.with_theta(best.x), data, parts)
+    asc = evaluate_criterion(criterion, template.with_theta(best.x), data, parts)[2] if criterion.is_asc else None
     return OptResult(
         theta=best.x,
-        objective_value=value,
+        objective_value=sign * best.fun,
         converged=best.converged,
         failed_partition_fraction=asc.failed_fraction if asc is not None else None,
     )

@@ -166,6 +166,19 @@ class TestFit:
         assert report["failed_partition_fraction"] is None
         assert report["kernel_spec"]["structure"] == "se"
 
+    def test_inputs_too_large_to_standardize_exit_2(self, tmp_path, capsys):
+        train = tmp_path / "huge.csv"
+        train.write_text("x1,y\n1e200,0.1\n-1e200,0.2\n3e199,0.3\n")
+        out = tmp_path / "fit.json"
+        argv = ["fit", "--train", str(train), "--kernel", "se", "--criterion", "evidence", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "['x1']" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     def test_asc_fit_reports_partition_fraction(self, synth_files, tmp_path):
         train, _ = synth_files
         report_path = tmp_path / "fit_basc.json"
@@ -713,6 +726,36 @@ class TestEval:
         assert err.startswith("error: ") and message in err
         assert f"for {train}" in err or f"{train} has" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("input_standardization", [0.1, 1.0]),
+            ("input_standardization", "x1"),
+            ("input_standardization", None),
+            ("input_columns", 5),
+            ("input_columns", "x1"),
+            ("input_columns", ["x1", 2]),
+            ("output_column", 7),
+            ("output_column", ["y"]),
+        ],
+        ids=["transform list", "transform string", "transform null", "columns int", "columns string",
+             "columns non-string", "output int", "output list"],
+    )
+    def test_mistyped_model_field_exits_2(self, tmp_path, capsys, key, value):
+        code, train, test = run_synth(tmp_path, seed=5, n_train=16, n_test=8)
+        assert code == 0
+        model = tmp_path / "fit.json"
+        report = self.fit_model(train, model, seed="0")
+        report[key] = value
+        model.write_text(json.dumps(report))
+        out = tmp_path / "eval.json"
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--train", str(train), "--test", str(test), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(model) in err and key in err
         assert not out.exists()
 
     def test_model_without_recorded_transform_scores_as_the_full_model(self, tmp_path):

@@ -1,6 +1,7 @@
 import importlib
 import json
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -457,6 +458,18 @@ class TestLoadCsv:
         path = self.write(tmp_path, "a,b,y\n2,1,0\n2,2,1\n2,3,2\n")
         data = load_csv_dataset(path, ["a", "b"], "y")
         np.testing.assert_allclose(data.X[0], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "column", [("1e200", "-1e200", "3e199"), ("1.5e308", "1.6e308", "1e308")], ids=["scale", "shift"]
+    )
+    def test_transform_that_overflows_is_refused(self, tmp_path, column):
+        rows = "".join(f"{a},{b},{i}\n" for i, (a, b) in enumerate(zip(("1", "2", "4"), column)))
+        path = self.write(tmp_path, "a,b,y\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match=r"\['b'\]") as caught:
+                load_csv_dataset(path, ["a", "b"], "y")
+        assert "'a'" not in str(caught.value)
 
 
 class TestDerivedSeed:

@@ -155,13 +155,15 @@ class TestOptimize:
         assert first.objective_value == second.objective_value
         assert first.converged == second.converged
 
-    def test_returned_value_is_fresh(self):
+    @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO])
+    def test_returned_value_is_fresh(self, criterion):
         rng = np.random.default_rng(2)
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
-        result = optimize(FitConfig(Criterion.EVIDENCE, 2), se_template(), data, seed=3)
+        result = optimize(FitConfig(criterion, 2), se_template(), data, seed=3)
         fitted = se_template().with_theta(result.theta)
-        value, _ = evaluate_criterion(Criterion.EVIDENCE, fitted, data)
-        assert result.objective_value == pytest.approx(value, abs=1e-9)
+        value, _, _ = evaluate_criterion(criterion, fitted, data)
+        # the value L-BFGS found at theta, not a second evaluation that could differ
+        assert result.objective_value == value
 
     def test_gradient_small_when_converged(self):
         rng = np.random.default_rng(3)
@@ -190,9 +192,9 @@ class TestOptimize:
         model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
         result = optimize(FitConfig(Criterion.LOO, 2), se_template(), data, seed=6)
         fitted = se_template().with_theta(result.theta)
-        at_fit, _ = evaluate_criterion(Criterion.LOO, fitted, data)
+        at_fit, _, _ = evaluate_criterion(Criterion.LOO, fitted, data)
         perturbed = se_template().with_theta(result.theta + 0.5)
-        worse, _ = evaluate_criterion(Criterion.LOO, perturbed, data)
+        worse, _, _ = evaluate_criterion(Criterion.LOO, perturbed, data)
         assert at_fit <= worse + 1e-9
 
     @pytest.mark.parametrize(
@@ -282,6 +284,62 @@ class TestOptimize:
         assert np.isfinite(result.objective_value)
         repeats = sum(np.array_equal(a, b) for a, b in zip(visited, visited[1:]))
         assert repeats == 0
+
+    @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO])
+    def test_exact_fits_evaluate_only_through_the_seam(self, monkeypatch, criterion):
+        real_evaluate = optimize_module.evaluate_criterion
+        exact = getattr(optimize_module, EXACT_SEAMS[criterion])
+        counts = {"seam": 0, "exact": 0}
+
+        def seam(*args):
+            counts["seam"] += 1
+            return real_evaluate(*args)
+
+        def counted(model, data):
+            counts["exact"] += 1
+            return exact(model, data)
+
+        monkeypatch.setattr(optimize_module, "evaluate_criterion", seam)
+        monkeypatch.setattr(optimize_module, EXACT_SEAMS[criterion], counted)
+        rng = np.random.default_rng(8)
+        model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
+        optimize(FitConfig(criterion, 2), se_template(), data, seed=4)
+        assert counts["seam"] == counts["exact"] > 0
+
+    def test_agreement_fit_evaluates_its_best_point_once_more(self, monkeypatch):
+        real_evaluate = optimize_module.evaluate_criterion
+        real_lbfgs = optimize_module.lbfgs_minimize
+        state = {"inside": False, "in_lbfgs": 0, "after": []}
+
+        def seam(criterion, kernel, *args):
+            if not state["inside"]:
+                state["after"].append(kernel.theta())
+            state["in_lbfgs"] += state["inside"]
+            return real_evaluate(criterion, kernel, *args)
+
+        def lbfgs(f, x0, **kwargs):
+            # the finite-difference probes run inside the gradient thunks L-BFGS calls
+            state["inside"] = True
+            try:
+                return real_lbfgs(f, x0, **kwargs)
+            finally:
+                state["inside"] = False
+
+        monkeypatch.setattr(optimize_module, "evaluate_criterion", seam)
+        monkeypatch.setattr(optimize_module, "lbfgs_minimize", lbfgs)
+        rng = np.random.default_rng(6)
+        model, data = random_gp_instance(rng, n_lo=16, n_hi=16)
+        asc = AscConfig(M=1, J=4)
+        result = optimize(FitConfig(Criterion.BETA_NOISE_ASC, 2, asc), se_template(), data, seed=7)
+        assert state["in_lbfgs"] > 0
+        assert len(state["after"]) == 1
+        np.testing.assert_array_equal(state["after"][0], result.theta)
+        parts = sample_partitions(data.n, asc, derived_seed(7, 1))
+        fitted = se_template().with_theta(result.theta)
+        value, grad, score = real_evaluate(Criterion.BETA_NOISE_ASC, fitted, data, parts)
+        assert grad is None
+        assert result.objective_value == value == score.value
+        assert result.failed_partition_fraction == score.failed_fraction
 
     @pytest.mark.parametrize("criterion", [Criterion.EVIDENCE, Criterion.LOO, Criterion.BETA_NOISE_ASC])
     def test_gradient_only_after_sufficient_decrease(self, monkeypatch, criterion):
